@@ -34,6 +34,14 @@
 //                     reverse traversal, cached row/col degree vectors
 //                     serve degree predicates.
 //
+// Count chains skip both phases. A COUNT(*) pattern without '<>' whose
+// edges form one simple path over all its variables is a walk count,
+// 1ᵀ·A·A·…·e_pin: the optimizer compiles it to one masked plus.first
+// product per pattern edge, walked from the end nearer the most selective
+// seed, and the executor sums the final vector. Its cost is bounded by one
+// adjacency pass per edge, whatever the number of matches. The seed and
+// degree-filter steps become the products' masks.
+//
 // compile(..., optimize=false) produces the naive baseline plan; EXPLAIN
 // prints both so reorderings and pushdowns are diff-visible.
 #pragma once
@@ -49,33 +57,45 @@
 namespace lagraph {
 namespace query {
 
-/// One compiled step of the candidate-pruning phase.
+/// One compiled step: candidate pruning, or one product of a count chain.
 struct PlanStep {
   enum class Kind : std::uint8_t {
     seed,           // initialize a variable's candidate vector
     degree_filter,  // intersect candidates with a select() over degrees
     prune,          // propagate candidates across one edge constraint
+    count_hop,      // count chain: walk counts from `from` across an edge
   };
 
   Kind kind = Kind::seed;
   int var = -1;   // the variable this step constrains
-  int from = -1;  // prune: source variable
-  int edge = -1;  // prune: index into Query::edges
+  int from = -1;  // prune/count_hop: source variable
+  int edge = -1;  // prune/count_hop: index into Query::edges
   int deg = -1;   // degree_filter: index into Query::degs
   /// prune: true propagates src→dst along the stored orientation,
-  /// false propagates dst→src (reverse traversal).
+  /// false propagates dst→src (reverse traversal). count_hop: true when
+  /// the product is over A itself (an arc toward `var`, or '-[]-' on a
+  /// symmetric pattern), false when it needs the reverse direction.
   bool forward = true;
-  bool masked = false;         // mask pushed into the op (vs post-filter)
+  /// Mask pushed into the op (prune: vs post-filter; count_hop: `var`'s
+  /// seed candidates, vs no mask for an unconstrained variable).
+  bool masked = false;
   bool via_transpose = false;  // reverse step served by the cached A^T
   double est_in = 0;           // estimated source candidates
   double est_out = 0;          // estimated target candidates afterwards
 };
 
-/// A compiled query plan: the pruning schedule plus the enumeration order.
+/// A compiled query plan: the pruning schedule plus the enumeration order,
+/// or, for a count chain, its seeds and products.
 struct QueryPlan {
   bool optimized = true;
+  /// COUNT(*) by the product chain: steps are seeds (only those a product
+  /// reads), degree filters and one count_hop per edge; no prune steps and
+  /// no enumeration.
+  bool count_chain = false;
   std::vector<PlanStep> steps;
-  std::vector<int> enum_order;  // variable indices, outermost first
+  /// Variable indices, outermost first; for a count chain, the walk
+  /// order (start variable first).
+  std::vector<int> enum_order;
   std::vector<double> est;      // final per-variable candidate estimates
   double avg_degree = 0;
 
@@ -92,7 +112,8 @@ struct QueryPlan {
 
 /// Compile `q` against `g` (shape + cached properties only — no kernel
 /// runs, so this is cheap enough for plan summaries and EXPLAIN).
-/// `optimize=false` yields the naive left-to-right baseline.
+/// `optimize=false` yields the naive left-to-right baseline, which never
+/// takes the count chain.
 int compile(QueryPlan *out, const Query &q, const Graph<double> &g,
             bool optimize, char *msg);
 

@@ -7,9 +7,14 @@
 // inequality constraint, so any sound pruning schedule yields the same
 // rows. Rows are sorted lexicographically and truncated by LIMIT, which
 // makes the result bit-comparable against the tuple-at-a-time oracle.
+//
+// A count-chain plan runs only its seed and degree-filter steps, then its
+// products (plus.first over uint64 walk counts) and one reduce in place
+// of both phases: no pruning, no enumeration.
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,6 +29,10 @@ namespace {
 
 using grb::Index;
 using Cand = grb::Vector<std::int64_t>;
+/// Per-node walk counts of a count chain. Unsigned, like the enumerator's
+/// counter: a sum past 2^64 wraps identically on both paths (a signed plus
+/// monoid would overflow into undefined behaviour instead).
+using Walks = grb::Vector<std::uint64_t>;
 
 /// Dense degree vector with explicit zeros (isolated nodes must satisfy
 /// predicates like `a.out < 3`, so implicit-zero sparsity is not enough).
@@ -171,6 +180,55 @@ void run_degree_filter(const Query &q, const PlanStep &s,
   grb::eWiseMult(next, grb::no_mask, grb::NoAccum{},
                  grb::Pair{}, (*cand)[s.var], ok);
   (*cand)[s.var] = std::move(next);
+}
+
+/// One count-chain product: r(v) = Σ m(u) over the edge's arcs u→v (the
+/// walk counts ending at `from` pushed onto `var`), masked by `var`'s
+/// candidates when the plan pushed them. Reverse arcs take the cached A^T
+/// or, without one, a pull mxv over A (plus.second: the count rides in
+/// from the vector side of A ⊕.⊗ m).
+template <typename U>
+Walks count_hop(const grb::Vector<U> &m, const PlanStep &s,
+                const Graph<double> &g, const Cand &target) {
+  Walks r(m.size());
+  const grb::Matrix<double> *at = g.transpose_view();
+  if (s.forward || at != nullptr) {
+    const grb::Matrix<double> &op = s.forward ? g.a : *at;
+    const grb::PlusFirst<std::uint64_t> sr{};
+    if (s.masked) {
+      grb::vxm(r, target, grb::NoAccum{}, sr, m, op, grb::desc::S);
+    } else {
+      grb::vxm(r, grb::no_mask, grb::NoAccum{}, sr, m, op);
+    }
+  } else {
+    const grb::PlusSecond<std::uint64_t> sr{};
+    if (s.masked) {
+      grb::mxv(r, target, grb::NoAccum{}, sr, g.a, m, grb::desc::S);
+    } else {
+      grb::mxv(r, grb::no_mask, grb::NoAccum{}, sr, g.a, m);
+    }
+  }
+  return r;
+}
+
+/// COUNT(*) of a count chain: the start variable's candidates pushed
+/// across every hop, then summed — 1ᵀ·A·…·A restricted to the seeds.
+std::uint64_t count_chain(const QueryPlan &plan, const Graph<double> &g,
+                          const std::vector<Cand> &cand) {
+  std::optional<Walks> m;  // unset until the first hop
+  for (const PlanStep &s : plan.steps) {
+    if (s.kind != PlanStep::Kind::count_hop) continue;
+    m = m ? count_hop(*m, s, g, cand[s.var])
+          : count_hop(cand[s.from], s, g, cand[s.var]);
+  }
+  std::uint64_t count = 0;
+  const grb::PlusMonoid<std::uint64_t> plus{};
+  if (m) {
+    grb::reduce(count, grb::NoAccum{}, plus, *m);
+  } else {  // a single-variable pattern: count its candidates
+    grb::reduce(count, grb::NoAccum{}, plus, cand[plan.enum_order.front()]);
+  }
+  return count;
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +425,8 @@ int execute(ResultSet *out, const Query &q, const QueryPlan &plan,
     const int nv = static_cast<int>(q.vars.size());
     std::vector<Cand> cand(static_cast<std::size_t>(nv));
 
-    // Phase 1: run the pruning schedule.
+    // Phase 1: run the pruning schedule (a count chain's products run
+    // after it, once every seed is in place).
     for (const PlanStep &s : plan.steps) {
       switch (s.kind) {
         case PlanStep::Kind::seed:
@@ -379,7 +438,21 @@ int execute(ResultSet *out, const Query &q, const QueryPlan &plan,
         case PlanStep::Kind::prune:
           run_prune(q, s, g, &cand);
           break;
+        case PlanStep::Kind::count_hop:
+          // A forward product over '-[]-' is exact only on the symmetric
+          // pattern the plan was compiled against.
+          if (q.edges[s.edge].dir == EdgeDir::both &&
+              g.transpose_view() != &g.a) {
+            return detail::set_msg(msg, LAGRAPH_INVALID_VALUE,
+                                   "execute: count chain needs a symmetric "
+                                   "pattern for '-[]-'");
+          }
+          break;
       }
+    }
+    if (plan.count_chain) {
+      finish_rows(q, {}, count_chain(plan, g, cand), out);
+      return LAGRAPH_OK;
     }
 
     // Phase 2: enumerate bindings and build the result table.

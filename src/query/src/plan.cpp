@@ -9,7 +9,8 @@
 // unconstrained one n; propagating across an edge multiplies by the
 // average degree. That is enough to pick a propagation root and an
 // enumeration order — correctness never depends on the numbers because
-// enumeration re-checks every constraint.
+// enumeration re-checks every constraint. A count chain is exact by
+// construction instead: its products count every walk the path admits.
 
 #include <algorithm>
 #include <cstdarg>
@@ -168,6 +169,93 @@ void schedule_optimized(const Query &q, QueryPlan *p, double n) {
   }
 }
 
+/// True when the optimized plan may count `q` by the product chain:
+/// COUNT(*) with no '<>', and edges forming one simple path over every
+/// variable (then `vars` gets the path's variables from one end and
+/// `edges` the edge between each consecutive pair). A '-[]-' edge needs
+/// a symmetric pattern, where A ∪ Aᵀ = A is one product; on a directed
+/// pattern the sum of two products would count reciprocal arcs twice.
+bool chain_path(const Query &q, const Graph<double> &g, std::vector<int> *vars,
+                std::vector<int> *edges) {
+  const int nv = static_cast<int>(q.vars.size());
+  if (!q.count_only || !q.neqs.empty() ||
+      q.edges.size() + 1 != q.vars.size()) {
+    return false;
+  }
+  std::vector<int> degree(static_cast<std::size_t>(nv), 0);
+  for (const EdgeConstraint &e : q.edges) {
+    if (e.src == e.dst || ++degree[e.src] > 2 || ++degree[e.dst] > 2) {
+      return false;
+    }
+    if (e.dir == EdgeDir::both && g.transpose_view() != &g.a) return false;
+  }
+  // Walk the unused edges from an end. With nv - 1 edges and no degree
+  // above 2, the walk reaches every variable exactly when the pattern is
+  // one connected path (a repeated pair or a second component strands one).
+  const int start = nv == 1 ? 0
+                            : static_cast<int>(
+                                  std::find(degree.begin(), degree.end(), 1) -
+                                  degree.begin());
+  if (start == nv) return false;
+  vars->assign(1, start);
+  edges->clear();
+  std::vector<char> used(q.edges.size(), 0);
+  while (edges->size() < q.edges.size()) {
+    const int cur = vars->back();
+    int next = -1;
+    for (std::size_t i = 0; i < q.edges.size() && next < 0; ++i) {
+      const EdgeConstraint &e = q.edges[i];
+      if (used[i] || (e.src != cur && e.dst != cur)) continue;
+      used[i] = 1;
+      next = e.src == cur ? e.dst : e.src;
+      edges->push_back(static_cast<int>(i));
+    }
+    if (next < 0) return false;
+    vars->push_back(next);
+  }
+  return true;
+}
+
+/// Count-chain schedule: keep only the seeds a product reads (the start
+/// vector and the masks of pinned or degree-filtered variables), then one
+/// count_hop per edge, walking from the end of the path nearer its most
+/// selective variable so a pinned end starts from a single node.
+void schedule_count_chain(const Query &q, QueryPlan *p, std::vector<int> vars,
+                          std::vector<int> edges, double n) {
+  const auto most_selective = static_cast<std::size_t>(
+      std::min_element(vars.begin(), vars.end(),
+                       [&](int x, int y) { return p->est[x] < p->est[y]; }) -
+      vars.begin());
+  if (2 * most_selective > vars.size() - 1) {
+    std::reverse(vars.begin(), vars.end());
+    std::reverse(edges.begin(), edges.end());
+  }
+  std::vector<char> constrained(q.vars.size(), 0);
+  for (const PinConstraint &pin : q.pins) constrained[pin.var] = 1;
+  for (const DegreeConstraint &d : q.degs) constrained[d.var] = 1;
+  std::erase_if(p->steps, [&](const PlanStep &s) {
+    return s.kind == PlanStep::Kind::seed && s.var != vars.front() &&
+           !constrained[s.var];
+  });
+  p->count_chain = true;
+  p->enum_order = vars;
+  for (std::size_t i = 1; i < vars.size(); ++i) {
+    const EdgeConstraint &e = q.edges[edges[i - 1]];
+    PlanStep s;
+    s.kind = PlanStep::Kind::count_hop;
+    s.edge = edges[i - 1];
+    s.from = vars[i - 1];
+    s.var = vars[i];
+    s.forward = e.dir == EdgeDir::both || e.src == s.from;
+    s.via_transpose = !s.forward && p->reuse_transpose;
+    s.masked = constrained[s.var] != 0;
+    s.est_in = p->est[s.from];
+    s.est_out = std::min(p->est[s.var], hop(s.est_in, p->avg_degree, n));
+    p->est[s.var] = s.est_out;
+    p->steps.push_back(s);
+  }
+}
+
 void append(std::string *out, const char *fmt, ...) {
   char buf[256];
   va_list ap;
@@ -205,10 +293,14 @@ int compile(QueryPlan *out, const Query &q, const Graph<double> &g,
       (g.kind == Kind::adjacency_undirected && g.row_degree.has_value());
 
   emit_seeds(q, out, n);
-  if (optimize) {
-    schedule_optimized(q, out, n);
-  } else {
+  std::vector<int> vars;
+  std::vector<int> edges;
+  if (!optimize) {
     schedule_naive(q, out, n);
+  } else if (chain_path(q, g, &vars, &edges)) {
+    schedule_count_chain(q, out, std::move(vars), std::move(edges), n);
+  } else {
+    schedule_optimized(q, out, n);
   }
   return LAGRAPH_OK;
 }
@@ -263,23 +355,44 @@ std::string QueryPlan::explain(const Query &q) const {
                s.masked ? "pushed" : "post-filter", s.est_in, s.est_out);
         break;
       }
+      case PlanStep::Kind::count_hop: {
+        const EdgeConstraint &e = q.edges[s.edge];
+        const char *op = s.forward         ? "vxm(A)[plus.first]"
+                         : s.via_transpose ? "vxm(A^T)[plus.first]"
+                                           : "mxv(A)[plus.second]";
+        append(&out,
+               "%3d. hop %s <- %s over (%s)%s(%s) %s mask=%s "
+               "est %.3g -> %.3g\n",
+               i, q.vars[s.var].c_str(), q.vars[s.from].c_str(),
+               q.vars[e.src].c_str(), edge_arrow(e.dir),
+               q.vars[e.dst].c_str(), op, s.masked ? "pushed" : "none",
+               s.est_in, s.est_out);
+        break;
+      }
     }
   }
-  out += "enum order:";
+  out += count_chain ? "walk order:" : "enum order:";
   for (const int v : enum_order) {
     out += ' ';
     out += q.vars[v];
+  }
+  if (count_chain) {
+    append(&out, "\ncount := reduce(plus.uint64) over %s, no enumeration",
+           q.vars[enum_order.back()].c_str());
   }
   out += '\n';
   return out;
 }
 
 std::string QueryPlan::explain_line() const {
-  std::size_t prunes = 0;
+  std::size_t ops = 0;  // prune steps, or count_hop steps of a count chain
   std::size_t masked = 0;
   for (const PlanStep &s : steps) {
-    if (s.kind != PlanStep::Kind::prune) continue;
-    ++prunes;
+    if (s.kind != PlanStep::Kind::prune &&
+        s.kind != PlanStep::Kind::count_hop) {
+      continue;
+    }
+    ++ops;
     if (s.masked) ++masked;
   }
   std::string cse;
@@ -293,8 +406,9 @@ std::string QueryPlan::explain_line() const {
   }
   char buf[128];
   std::snprintf(buf, sizeof buf,
-                "cypher[%s] vars=%zu prunes=%zu masked=%zu order=%s cse=%s",
-                optimized ? "opt" : "naive", est.size(), prunes, masked,
+                "cypher[%s] vars=%zu %s=%zu masked=%zu order=%s cse=%s",
+                optimized ? "opt" : "naive", est.size(),
+                count_chain ? "count=chain hops" : "prunes", ops, masked,
                 order.c_str(), cse.empty() ? "none" : cse.c_str());
   return buf;
 }

@@ -405,7 +405,8 @@ namespace {
 std::optional<QueryMismatch> check_leg(const QueryScenario &s, const Query &q,
                                        const ResultSet &expected,
                                        const grb::testing::RunConfig &rc,
-                                       bool optimized) {
+                                       bool optimized,
+                                       bool *count_chain = nullptr) {
   const std::string cfg =
       rc.name() + (optimized ? " [optimized]" : " [naive]");
   const auto mismatch = [&](const std::string &detail) {
@@ -422,6 +423,7 @@ std::optional<QueryMismatch> check_leg(const QueryScenario &s, const Query &q,
   if (rc2 != LAGRAPH_OK) {
     return mismatch(std::string("compile error: ") + msg);
   }
+  if (count_chain != nullptr) *count_chain = plan.count_chain;
   ResultSet got;
   rc2 = execute(&got, q, plan, g, msg);
   if (rc2 != LAGRAPH_OK) {
@@ -451,7 +453,8 @@ std::optional<QueryMismatch> check_one(const QueryScenario &s,
 }
 
 std::optional<QueryMismatch> check_sweep(const QueryScenario &s,
-                                         std::uint64_t *instances) {
+                                         std::uint64_t *instances,
+                                         bool *count_chain) {
   char msg[LAGRAPH_MSG_LEN] = {0};
   Query q;
   if (parse(&q, s.text, msg) != LAGRAPH_OK) {
@@ -461,7 +464,8 @@ std::optional<QueryMismatch> check_sweep(const QueryScenario &s,
   run_oracle(&expected, q, s);
   for (const grb::testing::RunConfig &rc : grb::testing::sweep_configs()) {
     for (const bool optimized : {false, true}) {
-      auto mm = check_leg(s, q, expected, rc, optimized);
+      auto mm = check_leg(s, q, expected, rc, optimized,
+                          optimized ? count_chain : nullptr);
       if (instances != nullptr) ++*instances;
       if (mm) return mm;
     }
@@ -519,8 +523,10 @@ QueryFuzzReport fuzz(const QueryFuzzOptions &opt) {
     }
     if (opt.max_scenarios == 0 && opt.seconds <= 0) break;
     const QueryScenario s = generate(seed);
-    auto mm = check_sweep(s, &rep.instances);
+    bool chain = false;
+    auto mm = check_sweep(s, &rep.instances, &chain);
     ++rep.scenarios;
+    if (chain) ++rep.count_chain;
     if (mm) {
       rep.ok = false;
       rep.failing_seed = seed;

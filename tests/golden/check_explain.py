@@ -18,8 +18,10 @@ import os
 import subprocess
 import sys
 
-# Fixed patterns: a pinned chain (reordering + mask pushdown visible), a
-# degree-filtered edge (filter step + CSE), and an undirected wedge.
+# Fixed patterns: a pinned 3-hop count (count chain walked from the pin
+# over the cached A^T), a degree-filtered projection (filter step, prune
+# reordering, mask pushdown, CSE), and an undirected wedge count pinned in
+# the middle (count chain with a pushed mask).
 PATTERNS = [
     "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE d = 100 RETURN COUNT(*)",
     "MATCH (a)-[]->(b) WHERE a.out >= 8 AND a <> b RETURN a, b LIMIT 10",

@@ -1,10 +1,13 @@
 // Execution tests for the compiled query pipeline: direct semantic units
-// on tiny graphs, the golden-file queries (independent Python references
-// from tests/golden/gen_golden.py), differential spot checks + a budgeted
-// fuzz run against the tuple-at-a-time oracle, and the service::Engine
-// integration (QueryKind::cypher end to end).
+// on tiny graphs, count chains against the naive plan's enumeration (and
+// their kernel-call bound on a kron hub), the golden-file queries
+// (independent Python references from tests/golden/gen_golden.py),
+// differential spot checks + a budgeted fuzz run against the
+// tuple-at-a-time oracle, and the service::Engine integration
+// (QueryKind::cypher end to end).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -162,6 +165,194 @@ TEST(QueryExec, NaiveAndOptimizedPlansAgree) {
 }
 
 // ---------------------------------------------------------------------------
+// Count chains: the optimized plan's product-chain COUNT(*) against the
+// naive plan's enumerated count, and the shapes that must keep enumerating.
+
+namespace {
+
+// Directed: a 4-cycle 0->1->2->3->0 with a reciprocal arc 1->0 and a chord
+// 0->2, a self-loop on 4 inside the cycle 2->4->5->2, and isolated 6.
+const std::vector<std::pair<Index, Index>> kCountEdges = {
+    {0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 0}, {0, 2},
+    {4, 4}, {2, 4}, {4, 5}, {5, 2}};
+
+void expect_count_plan(const lagraph::Graph<double> &g,
+                       const std::string &text, bool chain) {
+  SCOPED_TRACE(text);
+  q::Query p;
+  char msg[LAGRAPH_MSG_LEN];
+  ASSERT_EQ(q::parse(&p, text, msg), LAGRAPH_OK) << msg;
+  q::QueryPlan po, pn;
+  ASSERT_EQ(q::compile(&po, p, g, /*optimize=*/true, msg), LAGRAPH_OK) << msg;
+  ASSERT_EQ(q::compile(&pn, p, g, /*optimize=*/false, msg), LAGRAPH_OK)
+      << msg;
+  EXPECT_EQ(po.count_chain, chain);
+  EXPECT_FALSE(pn.count_chain);
+  for (const auto &st : po.steps) {
+    EXPECT_NE(st.kind, chain ? q::PlanStep::Kind::prune
+                             : q::PlanStep::Kind::count_hop);
+  }
+  q::ResultSet opt, naive;
+  ASSERT_EQ(q::execute(&opt, p, po, g, msg), LAGRAPH_OK) << msg;
+  ASSERT_EQ(q::execute(&naive, p, pn, g, msg), LAGRAPH_OK) << msg;
+  EXPECT_EQ(opt, naive);
+}
+
+}  // namespace
+
+TEST(QueryCountChain, DirectedChainsMatchEnumeration) {
+  const char *cases[] = {
+      "MATCH (a) RETURN COUNT(*)",
+      "MATCH (a) WHERE a = 2 RETURN COUNT(*)",
+      "MATCH (a)-[]->(b) RETURN COUNT(*)",
+      "MATCH (a)-[]->(b) WHERE a = 0 RETURN COUNT(*)",
+      "MATCH (a)-[]->(b) WHERE b = 0 RETURN COUNT(*)",
+      "MATCH (a)-[]->(b) RETURN COUNT(*) LIMIT 0",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE b = 2 RETURN COUNT(*)",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 AND c = 2 RETURN COUNT(*)",
+      "MATCH (a)-[]->(b)-[]->(c)-[]->(d) RETURN COUNT(*)",
+      "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE a = 0 RETURN COUNT(*)",
+      "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE d = 2 RETURN COUNT(*)",
+      "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE c = 4 RETURN COUNT(*)",
+      // <-[]- steps, and a path split over two patterns.
+      "MATCH (a)<-[]-(b)-[]->(c)<-[]-(d) WHERE d = 1 RETURN COUNT(*)",
+      "MATCH (a)<-[]-(b)<-[]-(c) WHERE a = 0 RETURN COUNT(*)",
+      "MATCH (a)-[]->(b), (c)-[]->(b) WHERE c = 0 RETURN COUNT(*)",
+      // Degree filters, including ones only isolated or sink nodes pass.
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a.out >= 2 AND c.in < 3 "
+      "RETURN COUNT(*)",
+      "MATCH (a)-[]->(b) WHERE b.out = 0 RETURN COUNT(*)",
+      "MATCH (a) WHERE a.in < 1 RETURN COUNT(*)",
+      // Out-of-range and conflicting pins.
+      "MATCH (a)-[]->(b)-[]->(c) WHERE c = 99 RETURN COUNT(*)",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 AND a = 1 RETURN COUNT(*)",
+      // Walks through the data graph's self-loop 4->4.
+      "MATCH (a)-[]->(b)-[]->(c) WHERE b = 4 RETURN COUNT(*)",
+      "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE a = 4 RETURN COUNT(*)",
+  };
+  // With the cached A^T (push over A^T) and without it (pull over A).
+  for (const bool cached : {true, false}) {
+    qt::QueryScenario sc;
+    sc.n = 7;
+    sc.directed = true;
+    for (const auto &e : kCountEdges) sc.edges.emplace_back(e.first, e.second);
+    const auto g = qt::build_graph(sc, cached);
+    for (const char *text : cases) expect_count_plan(g, text, true);
+  }
+}
+
+TEST(QueryCountChain, EitherArcChainsOnAnUndirectedGraph) {
+  const auto g = graph_from_edges(7, /*directed=*/false, kCountEdges);
+  for (const char *text : {
+           "MATCH (a)-[]-(b) RETURN COUNT(*)",
+           "MATCH (a)-[]-(b)-[]-(c) WHERE b = 2 RETURN COUNT(*)",
+           "MATCH (a)-[]-(b)-[]-(c)-[]-(d) WHERE a = 1 RETURN COUNT(*)",
+           "MATCH (a)-[]->(b)-[]-(c)<-[]-(d) WHERE d = 4 RETURN COUNT(*)",
+           "MATCH (a)-[]-(b) WHERE a.out >= 3 RETURN COUNT(*)",
+       }) {
+    expect_count_plan(g, text, true);
+  }
+}
+
+TEST(QueryCountChain, OtherShapesStillEnumerate) {
+  const auto g = graph_from_edges(7, /*directed=*/true, kCountEdges);
+  for (const char *text : {
+           // A closing edge (cycle).
+           "MATCH (a)-[]->(b)-[]->(c)-[]->(a) RETURN COUNT(*)",
+           // Repeated variable pairs.
+           "MATCH (a)-[]->(b), (b)-[]->(a) RETURN COUNT(*)",
+           "MATCH (a)-[]->(b), (a)-[]->(b), (c)-[]->(d) RETURN COUNT(*)",
+           // An inequality.
+           "MATCH (a)-[]->(b)-[]->(c) WHERE a <> c RETURN COUNT(*)",
+           // Either-arc edge on a directed graph (A ∪ A^T is not A).
+           "MATCH (a)-[]-(b)-[]->(c) WHERE c = 2 RETURN COUNT(*)",
+           // A pattern self-loop.
+           "MATCH (a)-[]->(a) RETURN COUNT(*)",
+           "MATCH (a)-[]->(a), (b) RETURN COUNT(*)",
+           // A star and a two-component pattern.
+           "MATCH (a)-[]->(b), (a)-[]->(c), (a)-[]->(d) RETURN COUNT(*)",
+           "MATCH (a)-[]->(b), (c)-[]->(d) RETURN COUNT(*)",
+           "MATCH (a)-[]->(b), (c) RETURN COUNT(*)",
+           // Projections.
+           "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 RETURN c",
+       }) {
+    expect_count_plan(g, text, false);
+  }
+}
+
+TEST(QueryCountChain, ExecuteRejectsAnEitherArcChainOnADirectedGraph) {
+  // A plan compiled where '-[]-' is one product (symmetric pattern) must
+  // not run against a directed graph, where it would miss reverse arcs.
+  const auto undirected = graph_from_edges(3, false, {{0, 1}});
+  const auto directed = graph_from_edges(3, true, {{0, 1}});
+  q::Query p;
+  char msg[LAGRAPH_MSG_LEN];
+  ASSERT_EQ(q::parse(&p, "MATCH (a)-[]-(b) RETURN COUNT(*)", msg), LAGRAPH_OK);
+  q::QueryPlan plan;
+  ASSERT_EQ(q::compile(&plan, p, undirected, true, msg), LAGRAPH_OK) << msg;
+  ASSERT_TRUE(plan.count_chain);
+  q::ResultSet rs;
+  EXPECT_EQ(q::execute(&rs, p, plan, directed, msg), LAGRAPH_INVALID_VALUE);
+}
+
+TEST(QueryCountChain, HubPinnedThreeHopCountIsOneProductPerEdge) {
+  // Kron scale 10, snapshot-style cached A^T. The top in-degree hub has
+  // the most 3-hop walks into it; enumeration would visit every one.
+  const auto el = gen::kronecker(10, 8, 42);
+  lagraph::Graph<double> g;
+  char msg[LAGRAPH_MSG_LEN];
+  ASSERT_EQ(lagraph::make_graph(g, gen::to_matrix<double>(el),
+                                lagraph::Kind::adjacency_directed, msg),
+            LAGRAPH_OK)
+      << msg;
+  g.a.finalize();
+  ASSERT_EQ(lagraph::property_at(g, msg), LAGRAPH_OK) << msg;
+  g.at->finalize();
+  const Index n = g.a.nrows();
+
+  // Reference by plain loops over the stored arcs: walks[v] = number of
+  // walks of the current length ending at v.
+  std::vector<std::pair<Index, Index>> arcs;
+  std::vector<std::uint64_t> indeg(n, 0);
+  for (Index i = 0; i < n; ++i) {
+    g.a.for_each_in_row(i, [&](Index j, const double &) {
+      arcs.emplace_back(i, j);
+      ++indeg[j];
+    });
+  }
+  const Index hub = static_cast<Index>(
+      std::max_element(indeg.begin(), indeg.end()) - indeg.begin());
+  std::vector<std::uint64_t> walks(n, 1);
+  for (int hop = 0; hop < 2; ++hop) {
+    std::vector<std::uint64_t> next(n, 0);
+    for (const auto &[i, j] : arcs) next[j] += walks[i];
+    walks = std::move(next);
+  }
+  std::uint64_t expected = 0;
+  for (const auto &[i, j] : arcs) {
+    if (j == hub) expected += walks[i];
+  }
+
+  const std::string text =
+      "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE d = " + std::to_string(hub) +
+      " RETURN COUNT(*)";
+  q::Query p;
+  ASSERT_EQ(q::parse(&p, text, msg), LAGRAPH_OK) << msg;
+  q::QueryPlan plan;
+  ASSERT_EQ(q::compile(&plan, p, g, /*optimize=*/true, msg), LAGRAPH_OK);
+  const auto calls = [] {
+    return grb::stats().push_calls.load() + grb::stats().pull_calls.load();
+  };
+  const std::uint64_t before = calls();
+  q::ResultSet rs;
+  ASSERT_EQ(q::execute(&rs, p, plan, g, msg), LAGRAPH_OK) << msg;
+  EXPECT_EQ(calls() - before, 3u);
+  ASSERT_EQ(rs.rows(), 1u);
+  EXPECT_EQ(static_cast<std::uint64_t>(rs.data[0][0]), expected);
+  EXPECT_GT(expected, 100000u);  // enumeration would walk all of these
+}
+
+// ---------------------------------------------------------------------------
 // Golden-file queries: fixed queries over the committed fixtures, checked
 // against tests/golden/*.golden written by the independent Python
 // references in gen_golden.py. The query strings here must match the
@@ -172,6 +363,11 @@ struct GoldenQuery {
   const char *file;
   const char *text;
 };
+
+// Without this gtest prints the parameter as its raw bytes, i.e. the three
+// string addresses, and ctest's discovered test names change from build to
+// build.
+void PrintTo(const GoldenQuery &gq, std::ostream *os) { *os << gq.file; }
 
 class QueryGolden : public ::testing::TestWithParam<GoldenQuery> {};
 
@@ -223,6 +419,9 @@ TEST(QueryDiff, BudgetedFuzzAgainstOracle) {
   EXPECT_EQ(rep.scenarios, 400u);
   EXPECT_EQ(rep.instances,
             400u * 2 * grb::testing::sweep_configs().size());
+  // The oracle gated both optimized paths, not just one of them.
+  EXPECT_GT(rep.count_chain, 0u);
+  EXPECT_LT(rep.count_chain, rep.scenarios);
 }
 
 TEST(QueryDiff, ScenarioSerializationRoundTrips) {

@@ -1,6 +1,7 @@
 // Multi-op optimizer unit tests: the compiled pruning schedule itself —
 // edge-chain reordering away from textual order, mask pushdown into the
-// traversal ops, cached-property CSE, the naive baseline's shape, and the
+// traversal ops, cached-property CSE, the naive baseline's shape, the
+// count-chain schedule that replaces pruning for COUNT(*) paths, and the
 // EXPLAIN renderings the CLI and the request log surface.
 #include <gtest/gtest.h>
 
@@ -71,7 +72,11 @@ int masked_prunes(const q::QueryPlan &plan) {
   return k;
 }
 
+// A projection, so the optimized plan prunes and enumerates; the same
+// pattern as COUNT(*) compiles to a count chain instead.
 const char *kChain =
+    "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE d = 63 RETURN a";
+const char *kCountChain =
     "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE d = 63 RETURN COUNT(*)";
 
 }  // namespace
@@ -181,6 +186,86 @@ TEST(QueryPlan, ExplainRendersBothModes) {
   EXPECT_NE(ln.find("cypher[naive]"), std::string::npos) << ln;
   EXPECT_LE(lo.size(), 128u);
   EXPECT_LE(ln.size(), 128u);
+}
+
+TEST(QueryPlan, CountChainWalksFromThePinWithoutPruning) {
+  auto g = funnel_graph(64, /*cache_properties=*/true);
+  q::Query p = parse_ok(kCountChain);
+  q::QueryPlan plan = compile_ok(p, g, /*optimize=*/true);
+  EXPECT_TRUE(plan.count_chain);
+  // One seed (the pinned start; unconstrained variables are never read),
+  // then one product per edge from d back to a, every one over the cached
+  // A^T because each arc points away from the next variable.
+  ASSERT_EQ(plan.steps.size(), 4u);
+  EXPECT_EQ(plan.steps[0].kind, q::PlanStep::Kind::seed);
+  EXPECT_EQ(plan.steps[0].var, p.find_var("d"));
+  const std::vector<int> walk{3, 2, 1, 0};
+  EXPECT_EQ(plan.enum_order, walk);
+  for (std::size_t i = 1; i < plan.steps.size(); ++i) {
+    const auto &s = plan.steps[i];
+    EXPECT_EQ(s.kind, q::PlanStep::Kind::count_hop);
+    EXPECT_EQ(s.from, walk[i - 1]);
+    EXPECT_EQ(s.var, walk[i]);
+    EXPECT_FALSE(s.forward);
+    EXPECT_TRUE(s.via_transpose);
+    EXPECT_FALSE(s.masked);
+  }
+  EXPECT_TRUE(prune_edge_sequence(plan).empty());
+  // Without a cached transpose the reverse products are pull mxv's.
+  auto cold = funnel_graph(64, /*cache_properties=*/false);
+  for (const auto &s : compile_ok(p, cold, true).steps) {
+    EXPECT_FALSE(s.via_transpose);
+  }
+  // The naive plan keeps prune + enumerate.
+  q::QueryPlan naive = compile_ok(p, g, /*optimize=*/false);
+  EXPECT_FALSE(naive.count_chain);
+  EXPECT_EQ(prune_edge_sequence(naive), (std::vector<int>{0, 1, 2}));
+}
+
+TEST(QueryPlan, CountChainStartsAtTheEndNearerThePinAndMasksFilters) {
+  auto g = funnel_graph(64, true);
+  // Pin on b (second of four): walk a -> b -> c -> d, masking b by its
+  // pin and d by its degree filter.
+  q::Query p = parse_ok(
+      "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE b = 3 AND d.in >= 1 "
+      "RETURN COUNT(*)");
+  q::QueryPlan plan = compile_ok(p, g, true);
+  ASSERT_TRUE(plan.count_chain);
+  EXPECT_EQ(plan.enum_order, (std::vector<int>{0, 1, 2, 3}));
+  std::vector<bool> masked;
+  for (const auto &s : plan.steps) {
+    if (s.kind == q::PlanStep::Kind::count_hop) {
+      EXPECT_TRUE(s.forward);
+      masked.push_back(s.masked);
+    }
+  }
+  EXPECT_EQ(masked, (std::vector<bool>{true, false, true}));
+  // Seeds: the unconstrained start a, the pinned b and the filtered d.
+  int seeds = 0;
+  for (const auto &s : plan.steps) {
+    if (s.kind == q::PlanStep::Kind::seed) ++seeds;
+  }
+  EXPECT_EQ(seeds, 3);
+}
+
+TEST(QueryPlan, CountChainExplainShowsTheProducts) {
+  auto g = funnel_graph(64, true);
+  q::Query p = parse_ok(kCountChain);
+  q::QueryPlan plan = compile_ok(p, g, true);
+  const std::string e = plan.explain(p);
+  EXPECT_NE(e.find("hop c <- d over (c)-[]->(d) vxm(A^T)[plus.first]"),
+            std::string::npos)
+      << e;
+  EXPECT_NE(e.find("walk order: d c b a"), std::string::npos) << e;
+  EXPECT_NE(e.find("no enumeration"), std::string::npos) << e;
+  EXPECT_EQ(e.find("prune"), std::string::npos) << e;
+  EXPECT_EQ(e.find("enum order"), std::string::npos) << e;
+  const std::string line = plan.explain_line();
+  EXPECT_NE(line.find("cypher[opt] vars=4 count=chain hops=3 masked=0 "
+                      "order=3,2,1,0"),
+            std::string::npos)
+      << line;
+  EXPECT_LE(line.size(), 95u);  // fits RequestRecord::plan
 }
 
 TEST(QueryPlan, CompileRejectsNullAndEmpty) {
