@@ -37,6 +37,12 @@
 #   2c. an ingest smoke: lagraph_cli mutate streams a synthetic mixed
 #       mutation load through an ingest::Writer and check_graph-validates
 #       the final published snapshot,
+#   2d. the engine benchmark's own tests: enginebench/ configured into
+#       .bench_build/enginebench the way enginebench/run.py does it, then
+#       enginebench_tests built and run — a tiny smoke of every workload
+#       with all of its output checks on (SSSP distances exactly against
+#       Dijkstra, PageRank within 1e-12, BFS levels, cypher results, the
+#       write-log replay),
 #   3. a trace smoke: lagraph_cli trace bfs on a generated kron graph, with
 #      the emitted Chrome trace-event JSON validated by python3,
 #   3b. a calibration round-trip smoke: trace bfs fits per-machine
@@ -166,6 +172,17 @@ step "ingest smoke: lagraph_cli mutate --gen kron 10 --mutations 2048"
 # end-to-end pass over stage_tuples → merge_pending → incremental property
 # maintenance. Exits non-zero if the published graph is inconsistent.
 "$BUILD_DIR"/tools/lagraph_cli mutate --gen kron 10 --mutations 2048
+
+step "engine benchmark tests: enginebench_tests in .bench_build/enginebench"
+# Same tree and build type as enginebench/run.py, so this reuses (and warms)
+# the build the benchmark runs from.
+BENCH_BUILD=.bench_build/enginebench
+if [[ ! -f "$BENCH_BUILD/CMakeCache.txt" ]]; then
+  cmake -S enginebench -B "$BENCH_BUILD" \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+fi
+cmake --build "$BENCH_BUILD" --target enginebench_tests -j"$JOBS" >/dev/null
+ctest --test-dir "$BENCH_BUILD" --output-on-failure
 
 step "trace smoke: lagraph_cli trace bfs --gen kron 10"
 trace_json=$(mktemp --suffix=.json)

@@ -224,10 +224,39 @@ void select(Matrix<W> &c, const MaskT &mask, Accum accum, F f,
   a.ensure_sorted();
   const U th = static_cast<U>(thunk);
 
-  // Rows filter independently: chunk by row nnz, emit per-chunk buffers,
-  // stitch the row pointer from per-chunk row lengths (as in ewise_mat).
   const int parts = plan::chunk_parts(a.nvals(), 2);
   sp.set_threads(parts);
+  if (parts == 1 && a.format() == Matrix<U>::Format::csr) {
+    // Serial CSR fast path: one width dispatch, then a flat filter over the
+    // typed spans (no per-row finish() and dispatch).
+    std::vector<Index> rp(static_cast<std::size_t>(m) + 1, 0);
+    std::vector<Index> ci;
+    std::vector<W> cv;
+    detail::dispatch_width(a.index_width(), [&](auto tag) {
+      using I = decltype(tag);
+      auto arp = a.rowptr().template as<I>();
+      auto acx = a.colidx().template as<I>();
+      auto avx = a.values();
+      for (Index i = 0; i < m; ++i) {
+        for (std::size_t p = arp[i]; p < arp[i + 1]; ++p) {
+          const Index j = acx[p];
+          if (f(avx[p], i, j, th)) {
+            ci.push_back(j);
+            cv.push_back(static_cast<W>(avx[p]));
+          }
+        }
+        rp[i + 1] = static_cast<Index>(ci.size());
+      }
+    });
+    Matrix<W> t(m, a.ncols());
+    t.adopt_csr(std::move(rp), std::move(ci), std::move(cv), false);
+    sp.set_out_nvals(t.nvals());
+    detail::write_result(c, std::move(t), mask, accum, d);
+    return;
+  }
+
+  // Rows filter independently: chunk by row nnz, emit per-chunk buffers,
+  // stitch the row pointer from per-chunk row lengths (as in ewise_mat).
   std::vector<Index> bounds =
       parts > 1 ? detail::partition_rows_by_work(
                       m, parts, [&](Index i) { return a.row_nvals(i) + 1; })

@@ -5,8 +5,18 @@
 // edges. Buckets of tentative distances t ∈ [iΔ, (i+1)Δ) are settled by
 // repeated min.plus relaxations over the light edges (each one vxm push from
 // the bucket frontier); the heavy edges of everything settled in the bucket
-// are then relaxed once. t is kept sparse: only reached nodes have entries,
-// which is what makes the bucket selections cheap selects.
+// are then relaxed once.
+//
+// t holds entries only for reached nodes but is a bitmap over all n, so the
+// per-round t min= tReq runs in place — and any select over t costs O(n).
+// No bucket scans it: the loop carries a sparse ring u of the reached nodes
+// not yet settled, with their distances. A bucket takes its frontier from
+// u, then reads t back only where it could have changed it (its frontier
+// and its relaxation candidates) to find what it settled and to bring the
+// ring up to date. A bucket so costs bucket + ring + the edges it relaxes,
+// the way GAP's bins do, with masked and sparse operations in place of the
+// bins (GraphBLAST's argument). Only once those positions are dense does a
+// bucket read t whole, at a cost then proportional to them.
 #pragma once
 
 #include <cstdint>
@@ -51,32 +61,22 @@ int sssp_delta_stepping(grb::Vector<double> *dist, const Graph<T> &g,
     grb::plan::prepare(t, grb::plan::iterative_output_format(n));
 
     grb::MinPlus<double> min_plus;
+    grb::Vector<double> u(n);      // the ring: reached nodes with t ≥ iΔ
+    u.set_element(source, 0.0);
     grb::Vector<double> tb(n);     // current bucket frontier
     grb::Vector<double> treq(n);   // relaxation candidates
     grb::Vector<double> tmp(n);
-    // e(v) = 1 iff v entered the current bucket (valued-mask convention:
-    // a full bitmap of 0/1 so membership updates are in-place writes).
-    auto e = grb::Vector<grb::Bool>::full(n, 0);
 
-    for (std::uint64_t i = 0;; ++i) {
-      // outer termination: any reached node still at distance ≥ iΔ?
-      grb::Vector<double> remaining(n);
-      grb::select(remaining, grb::no_mask, grb::NoAccum{}, grb::ValueGe{}, t,
-                  static_cast<double>(i) * delta);
-      if (remaining.nvals() == 0) break;
+    for (std::uint64_t i = 0; u.nvals() != 0; ++i) {
       // skip straight to the first non-empty bucket
       double minr = 0;
-      grb::reduce(minr, grb::NoAccum{}, grb::MinMonoid<double>{}, remaining);
+      grb::reduce(minr, grb::NoAccum{}, grb::MinMonoid<double>{}, u);
       i = std::max(i, static_cast<std::uint64_t>(minr / delta));
       const double lo = static_cast<double>(i) * delta;
       const double hi = lo + delta;
 
-      // bucket i: t ∈ [iΔ, (i+1)Δ)
-      grb::select(tb, grb::no_mask, grb::NoAccum{}, grb::ValueGe{}, remaining,
-                  lo);
-      grb::select(tb, grb::no_mask, grb::NoAccum{}, grb::ValueLt{}, tb, hi);
-      grb::assign(e, grb::no_mask, grb::NoAccum{}, grb::Bool(0),
-                  grb::Indices::all());
+      // bucket i: t ∈ [iΔ, (i+1)Δ) — the ring already holds only t ≥ iΔ
+      grb::select(tb, grb::no_mask, grb::NoAccum{}, grb::ValueLt{}, u, hi);
 
       // One span per bucket: initial bucket size, number of light
       // relaxation rounds (extra), and the bucket's wall time.
@@ -85,17 +85,28 @@ int sssp_delta_stepping(grb::Vector<double> *dist, const Graph<T> &g,
       bsp.set_in_nvals(tb.nvals());
       std::uint64_t rounds = 0;
 
+      // c gathers every position bucket i may change: its frontier plus
+      // each relaxation's candidates. t changes nowhere else, so the ring
+      // stays exact outside c. Once c is dense (went bitmap), gathering it
+      // costs as much as one scan of t, so the bucket stops and reads t
+      // whole at its end instead.
+      grb::Vector<double> c = tb;
+      auto dense = [&] {
+        return c.format() == grb::Vector<double>::Format::bitmap;
+      };
+
       while (tb.nvals() != 0) {
         ++rounds;
-        // remember bucket membership for the heavy phase: e⟨s(tb)⟩ = 1
-        grb::assign(e, tb, grb::NoAccum{}, grb::Bool(1), grb::Indices::all(),
-                    grb::desc::S);
         // light relaxation fused with the bucket window (Alg. 5 line 10):
         //   treq = tbᵀ min.plus A_L ; tmp = treq⟨lo ≤ · < hi⟩
         // One sweep produces both the full candidate vector (needed for the
         // t min= treq merge below) and the in-bucket prune; unfused it is
         // the exact vxm + select(ValueGe) + select(ValueLt) chain.
         grb::vxm_select_range(treq, tmp, min_plus, tb, al, lo, hi);
+        if (!dense()) {
+          grb::eWiseAdd(c, grb::no_mask, grb::NoAccum{}, grb::First{}, c,
+                        treq);
+        }
         // ...and strictly improve t (or reach a new node):
         //   part 1: candidates at nodes t has never reached
         grb::Vector<double> fresh(n);
@@ -115,15 +126,41 @@ int sssp_delta_stepping(grb::Vector<double> *dist, const Graph<T> &g,
         grb::assign(t, grb::no_mask, grb::Min{}, treq, grb::Indices::all());
       }
 
-      // heavy relaxation from everything settled in bucket i:
-      // treq = (t ×∩ e)ᵀ min.plus A_H ; t min= treq. The mask on e is
-      // valued: e is a full 0/1 bitmap.
+      // Read t back at c, or at every t ≥ lo once c is dense. No light
+      // candidate is left below hi unsettled, so the part in [lo, hi) is
+      // exactly what bucket i settled.
+      const bool whole = dense();
+      if (whole) {
+        grb::select(c, grb::no_mask, grb::NoAccum{}, grb::ValueGe{}, t, lo);
+      } else {
+        grb::eWiseMult(c, grb::no_mask, grb::NoAccum{}, grb::Second{}, c, t);
+        // drop candidates that an earlier bucket already settled
+        grb::select(c, grb::no_mask, grb::NoAccum{}, grb::ValueGe{}, c, lo);
+      }
       grb::Vector<double> settled(n);
-      grb::apply(settled, e, grb::NoAccum{}, grb::Identity{}, t,
-                 grb::desc::R);
+      grb::select(settled, grb::no_mask, grb::NoAccum{}, grb::ValueLt{}, c,
+                  hi);
+
+      // heavy relaxation from everything settled in bucket i:
+      // treq = settledᵀ min.plus A_H ; t min= treq
       if (settled.nvals() != 0) {
         grb::vxm(treq, grb::no_mask, grb::NoAccum{}, min_plus, settled, ah);
         grb::assign(t, grb::no_mask, grb::Min{}, treq, grb::Indices::all());
+        if (!whole) {
+          grb::eWiseAdd(c, grb::no_mask, grb::NoAccum{}, grb::First{}, c,
+                        treq);
+          grb::eWiseMult(c, grb::no_mask, grb::NoAccum{}, grb::Second{}, c,
+                         t);
+        }
+      }
+
+      // the next ring: every reached node still at t ≥ hi — the old ring
+      // with the current t at c, or all of t once c was dense
+      if (whole) {
+        grb::select(u, grb::no_mask, grb::NoAccum{}, grb::ValueGe{}, t, hi);
+      } else {
+        grb::eWiseAdd(u, grb::no_mask, grb::NoAccum{}, grb::Second{}, u, c);
+        grb::select(u, grb::no_mask, grb::NoAccum{}, grb::ValueGe{}, u, hi);
       }
       bsp.set_out_nvals(settled.nvals());
       bsp.set_extra(static_cast<double>(rounds));

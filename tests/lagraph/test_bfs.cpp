@@ -4,6 +4,8 @@
 // parameterized over generated graphs.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "common/test_graphs.hpp"
 
 using grb::Index;
@@ -110,12 +112,17 @@ TEST(Bfs, PushOnlyMatchesDirectionOptimizing) {
   EXPECT_EQ(level_push, level_do);
 }
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, and the
+// ctest name carries that dump. Spelling the tail padding out as a zeroed
+// member keeps every byte, and so the name, the same from build to build.
 struct BfsSweep {
   int scale;
   int ef;
   std::uint64_t seed;
   bool directed;
+  char zero_padding[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<BfsSweep>);
 
 class BfsParam : public ::testing::TestWithParam<BfsSweep> {};
 

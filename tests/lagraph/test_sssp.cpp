@@ -2,6 +2,10 @@
 // values, weight ranges, and generated graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <string>
+
 #include "common/test_graphs.hpp"
 
 using grb::Index;
@@ -128,3 +132,84 @@ TEST(Sssp, ShortcutViaLongerHopCount) {
   ASSERT_EQ(lagraph::sssp(&dist, t.lg, 0, 5.0, msg), LAGRAPH_OK);
   EXPECT_EQ(dist.get(2), 2.0);
 }
+
+// Correctness sweep: every (graph, Δ, source) case matches Dijkstra exactly.
+// Each graph gets one isolated node and a three-node component appended, so
+// both a source with no out-edges and a source in a small component exist.
+// Weights are integers in [1, 255] (GAP's convention); Δ runs from below the
+// minimum weight (every edge heavy) to the maximum (every edge light),
+// through a non-integer Δ, GAP's Δ = 2 and one from the engine benchmark's
+// [32, 64).
+namespace {
+
+struct SsspSweep {
+  bool road;  // a road grid, else a Kronecker graph
+  double delta;
+};
+
+void PrintTo(const SsspSweep &p, std::ostream *os) {
+  *os << (p.road ? "road" : "kron") << " delta=" << p.delta;
+}
+
+testutil::TestGraph sweep_graph(bool road) {
+  auto el = road ? gen::road_grid(40, 40, 3) : gen::kronecker(10, 8, 5);
+  const Index iso = el.n;
+  el.n += 4;  // iso, then the component iso+1 ↔ iso+2 ↔ iso+3
+  for (Index k = iso + 1; k < iso + 3; ++k) {
+    el.push(k, k + 1);
+    el.push(k + 1, k);
+  }
+  gen::add_uniform_weights(el, 1, 255, 21);
+  return testutil::TestGraph::from_edges(road ? "road" : "kron",
+                                         std::move(el), road);
+}
+
+const testutil::TestGraph &cached_sweep_graph(bool road) {
+  static const auto kRoad = sweep_graph(true);
+  static const auto kKron = sweep_graph(false);
+  return road ? kRoad : kKron;
+}
+
+class SsspParam : public ::testing::TestWithParam<SsspSweep> {};
+
+}  // namespace
+
+TEST_P(SsspParam, MatchesDijkstra) {
+  const auto p = GetParam();
+  const auto &t = cached_sweep_graph(p.road);
+  const Index n = t.lg.nodes();
+  Index hub = 0;
+  for (Index v = 1; v < n; ++v) {
+    if (t.ref.out_degree(static_cast<gapbs::NodeId>(v)) >
+        t.ref.out_degree(static_cast<gapbs::NodeId>(hub))) {
+      hub = v;
+    }
+  }
+  const Index iso = n - 4;
+  ASSERT_EQ(t.ref.out_degree(static_cast<gapbs::NodeId>(iso)), 0);
+  char msg[LAGRAPH_MSG_LEN];
+  for (Index src : {hub, iso, iso + 2}) {
+    grb::Vector<double> dist;
+    ASSERT_EQ(lagraph::advanced::sssp_delta_stepping(&dist, t.lg, src,
+                                                     p.delta, msg),
+              LAGRAPH_OK)
+        << msg;
+    SCOPED_TRACE("source " + std::to_string(src));
+    expect_distances(t, dist, static_cast<gapbs::NodeId>(src));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SsspParam,
+    ::testing::Values(SsspSweep{true, 0.5}, SsspSweep{true, 2.0},
+                      SsspSweep{true, 7.5}, SsspSweep{true, 48.0},
+                      SsspSweep{true, 255.0}, SsspSweep{false, 0.5},
+                      SsspSweep{false, 2.0}, SsspSweep{false, 7.5},
+                      SsspSweep{false, 48.0}, SsspSweep{false, 255.0}),
+    [](const ::testing::TestParamInfo<SsspSweep> &info) {
+      std::string name = ::testing::PrintToString(info.param);
+      std::replace_if(
+          name.begin(), name.end(),
+          [](unsigned char ch) { return !std::isalnum(ch); }, '_');
+      return name;
+    });
