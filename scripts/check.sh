@@ -207,9 +207,13 @@ step "calibration round-trip: trace --calibration-out, reload, explain"
 # Fits per-machine ns/cost-unit coefficients from a traced BFS, persists
 # them, reloads them into a fresh process, and asserts `explain` renders the
 # calibrated estimates (proof the file round-trips and the planner reads it).
+# The trace itself goes to a temp file too; without --trace-out the CLI
+# writes trace.json into the working directory.
 cal_json=$(mktemp --suffix=.json)
+cal_trace_json=$(mktemp --suffix=.json)
 "$BUILD_DIR"/tools/lagraph_cli trace bfs --gen kron 10 \
-    --calibration-out "$cal_json" >/dev/null
+    --calibration-out "$cal_json" --trace-out "$cal_trace_json" >/dev/null
+rm -f "$cal_trace_json"
 python3 - "$cal_json" <<'EOF'
 import json, sys
 

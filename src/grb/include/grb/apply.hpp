@@ -5,10 +5,12 @@
 // scalar. select keeps the entries for which an index-unary predicate
 // f(value, i, j, thunk) holds, zeroing out (dropping) the rest.
 //
-// apply is a pure per-entry map (output position = input position), so the
-// parallel form writes each transformed entry straight into its slot; select
-// filters, so chunks emit into their own buffers and concatenate in chunk
-// order (grb/parallel.hpp). Both match the serial walk exactly.
+// Vector forms keep the input's format. On a bitmap input both write each
+// kept entry straight into its result slot, and the slots are the bitmap
+// result. On a sparse input apply keeps u's index list and maps its values,
+// while select filters, so its chunks emit into their own buffers and
+// concatenate in chunk order (grb/parallel.hpp). All match the serial walk
+// exactly.
 #pragma once
 
 #include <vector>
@@ -30,42 +32,39 @@ void apply(Vector<W> &w, const MaskT &mask, Accum accum, F f,
   const Index n = u.size();
   trace::ScopedSpan sp(trace::SpanKind::apply);
   sp.set_in_nvals(u.nvals());
-  std::vector<Index> idx;
-  std::vector<W> val;
   const int parts = plan::chunk_parts(u.nvals(), 2);
   sp.set_threads(parts);
+  Vector<W> t(n);
   if (u.format() == Vector<U>::Format::sparse) {
     auto ui = u.sparse_indices();
     auto uv = u.sparse_values();
     const Index nv = static_cast<Index>(ui.size());
-    idx.resize(nv);
-    val.resize(nv);
+    std::vector<Index> idx(ui.begin(), ui.end());
+    std::vector<W> val(nv);
     detail::for_each_chunk(detail::partition_even(nv, parts),
                            [&](int, Index lo, Index hi) {
                              for (Index p = lo; p < hi; ++p) {
-                               idx[p] = ui[p];
                                val[p] = static_cast<W>(
                                    f(static_cast<W>(uv[p])));
                              }
                            });
+    t.adopt_sparse(std::move(idx), std::move(val));
   } else {
     const std::uint8_t *up = u.bitmap_present();
     const U *uvp = u.bitmap_values();
-    std::vector<std::uint8_t> found(static_cast<std::size_t>(n), 0);
-    std::vector<W> out(static_cast<std::size_t>(n));
-    detail::for_each_chunk(detail::partition_even(n, parts),
-                           [&](int, Index lo, Index hi) {
-                             for (Index i = lo; i < hi; ++i) {
-                               if (!up[i]) continue;
-                               found[i] = 1;
-                               out[i] = static_cast<W>(
-                                   f(static_cast<W>(uvp[i])));
-                             }
-                           });
-    detail::pack_slots(found, out, idx, val);
+    t = detail::fill_slots<W>(
+        n, detail::partition_even(n, parts),
+        [&](Index lo, Index hi, std::uint8_t *found, W *out) {
+          Index hits = 0;
+          for (Index i = lo; i < hi; ++i) {
+            if (!up[i]) continue;
+            found[i] = 1;
+            out[i] = static_cast<W>(f(static_cast<W>(uvp[i])));
+            ++hits;
+          }
+          return hits;
+        });
   }
-  Vector<W> t(n);
-  t.adopt_sparse(std::move(idx), std::move(val));
   sp.set_out_nvals(t.nvals());
   detail::write_result(w, std::move(t), mask, accum, d);
 }
@@ -166,10 +165,9 @@ void select(Vector<W> &w, const MaskT &mask, Accum accum, F f,
   trace::ScopedSpan sp(trace::SpanKind::select);
   sp.set_in_nvals(u.nvals());
   const U th = static_cast<U>(thunk);
-  std::vector<Index> idx;
-  std::vector<W> val;
   const int parts = plan::chunk_parts(u.nvals(), 2);
   sp.set_threads(parts);
+  Vector<W> t(n);
   if (u.format() == Vector<U>::Format::sparse) {
     auto ui = u.sparse_indices();
     auto uv = u.sparse_values();
@@ -186,26 +184,26 @@ void select(Vector<W> &w, const MaskT &mask, Accum accum, F f,
         }
       }
     });
+    std::vector<Index> idx;
+    std::vector<W> val;
     detail::concat_chunks(cidx, cval, idx, val);
+    t.adopt_sparse(std::move(idx), std::move(val));
   } else {
     const std::uint8_t *up = u.bitmap_present();
     const U *uvp = u.bitmap_values();
-    std::vector<std::uint8_t> found(static_cast<std::size_t>(n), 0);
-    std::vector<W> out(static_cast<std::size_t>(n));
-    detail::for_each_chunk(detail::partition_even(n, parts),
-                           [&](int, Index lo, Index hi) {
-                             for (Index i = lo; i < hi; ++i) {
-                               if (!up[i] || !f(uvp[i], i, Index{0}, th)) {
-                                 continue;
-                               }
-                               found[i] = 1;
-                               out[i] = static_cast<W>(uvp[i]);
-                             }
-                           });
-    detail::pack_slots(found, out, idx, val);
+    t = detail::fill_slots<W>(
+        n, detail::partition_even(n, parts),
+        [&](Index lo, Index hi, std::uint8_t *found, W *out) {
+          Index hits = 0;
+          for (Index i = lo; i < hi; ++i) {
+            if (!up[i] || !f(uvp[i], i, Index{0}, th)) continue;
+            found[i] = 1;
+            out[i] = static_cast<W>(uvp[i]);
+            ++hits;
+          }
+          return hits;
+        });
   }
-  Vector<W> t(n);
-  t.adopt_sparse(std::move(idx), std::move(val));
   sp.set_out_nvals(t.nvals());
   detail::write_result(w, std::move(t), mask, accum, d);
 }

@@ -7,12 +7,14 @@
 // unchanged); eWiseMult applies op on the intersection.
 //
 // All paths are parallel (grb/parallel.hpp): the index space is split into
-// contiguous chunks, each chunk emits into its own buffer, and buffers
-// concatenate in chunk order — position-wise ops have no cross-chunk state,
-// so the result is identical to the serial walk for any thread count.
+// contiguous chunks. Two bitmap vectors give a bitmap result whose slots
+// each chunk fills in place; the sparse paths emit into per-chunk buffers
+// that concatenate in chunk order. Position-wise ops have no cross-chunk
+// state, so the result is identical to the serial walk for any thread count.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <vector>
 
 #include "grb/mask.hpp"
@@ -30,8 +32,6 @@ Vector<Z> ewise_vec(Op op, const Vector<U> &u, const Vector<V> &v) {
   trace::ScopedSpan sp(UnionMode ? trace::SpanKind::ewise_add
                                  : trace::SpanKind::ewise_mult);
   sp.set_in_nvals(static_cast<std::uint64_t>(u.nvals()) + v.nvals());
-  std::vector<Index> idx;
-  std::vector<Z> val;
 
   // Plan operand formats: union promotes mixed inputs to bitmap for the
   // dense walk, intersection keeps them mixed so the sparse side can probe
@@ -48,8 +48,44 @@ Vector<Z> ewise_vec(Op op, const Vector<U> &u, const Vector<V> &v) {
   plan::prepare(u, pl.u_format);
   plan::prepare(v, pl.v_format);
 
-  const bool dense_walk = u.format() == Vector<U>::Format::bitmap ||
-                          v.format() == Vector<V>::Format::bitmap;
+  if (u.format() == Vector<U>::Format::bitmap &&
+      v.format() == Vector<V>::Format::bitmap) {
+    // Hot path (e.g. PageRank's w = t ./ d and t = t - r every iteration):
+    // walk the raw bitmap arrays and fill each position's result slot, so
+    // the result is a bitmap. Union over mixed formats lands here too: the
+    // planner promoted both sides to bitmap.
+    const std::uint8_t *up = u.bitmap_present();
+    const U *uv = u.bitmap_values();
+    const std::uint8_t *vp = v.bitmap_present();
+    const V *vv = v.bitmap_values();
+    Vector<Z> t = fill_slots<Z>(
+        n, partition_even(n, plan::chunk_parts(n, 2)),
+        [&](Index lo, Index hi, std::uint8_t *found, Z *out) {
+          Index hits = 0;
+          for (Index i = lo; i < hi; ++i) {
+            const bool hu = up[i] != 0;
+            const bool hv = vp[i] != 0;
+            if (hu && hv) {
+              out[i] = static_cast<Z>(
+                  op(static_cast<Z>(uv[i]), static_cast<Z>(vv[i])));
+            } else if (UnionMode && hu) {
+              out[i] = static_cast<Z>(uv[i]);
+            } else if (UnionMode && hv) {
+              out[i] = static_cast<Z>(vv[i]);
+            } else {
+              continue;
+            }
+            found[i] = 1;
+            ++hits;
+          }
+          return hits;
+        });
+    sp.set_out_nvals(t.nvals());
+    return t;
+  }
+
+  std::vector<Index> idx;
+  std::vector<Z> val;
   auto combine = [&](std::vector<Index> &oi, std::vector<Z> &ov, Index i,
                      const U *x, const V *y) {
     if (x != nullptr && y != nullptr) {
@@ -84,65 +120,38 @@ Vector<Z> ewise_vec(Op op, const Vector<U> &u, const Vector<V> &v) {
     concat_chunks(cidx, cval, idx, val);
   };
 
-  if constexpr (!UnionMode) {
-    // Intersection with one sparse and one bitmap side: walk the sparse
-    // entries and probe the bitmap — O(nnz(sparse)), not O(n).
-    const bool u_sparse = u.format() == Vector<U>::Format::sparse;
-    const bool v_sparse = v.format() == Vector<V>::Format::sparse;
-    if (u_sparse != v_sparse) {
-      if (u_sparse) {
-        const std::uint8_t *vp = v.bitmap_present();
-        const V *vv = v.bitmap_values();
-        auto ui = u.sparse_indices();
-        auto uv = u.sparse_values();
-        run_chunked(static_cast<Index>(ui.size()),
-                    static_cast<Index>(ui.size()),
-                    [&](Index lo, Index hi, std::vector<Index> &oi,
-                        std::vector<Z> &ov) {
-                      for (Index p = lo; p < hi; ++p) {
-                        const Index i = ui[p];
-                        if (vp[i]) combine(oi, ov, i, &uv[p], &vv[i]);
-                      }
-                    });
-      } else {
-        const std::uint8_t *up = u.bitmap_present();
-        const U *uv = u.bitmap_values();
-        auto vi = v.sparse_indices();
-        auto vv = v.sparse_values();
-        run_chunked(static_cast<Index>(vi.size()),
-                    static_cast<Index>(vi.size()),
-                    [&](Index lo, Index hi, std::vector<Index> &oi,
-                        std::vector<Z> &ov) {
-                      for (Index q = lo; q < hi; ++q) {
-                        const Index i = vi[q];
-                        if (up[i]) combine(oi, ov, i, &uv[i], &vv[q]);
-                      }
-                    });
-      }
-      Vector<Z> t0(n);
-      t0.adopt_sparse(std::move(idx), std::move(val));
-      sp.set_out_nvals(t0.nvals());
-      return t0;
-    }
-  }
-  if (dense_walk) {
-    // Hot path (e.g. SSSP's t = min∪(t, tReq) every relaxation round): walk
-    // the raw bitmap arrays rather than paying a bounds-checked get() per
-    // position. The planner already promoted both sides to bitmap — the
-    // mixed intersection case returned above.
+  // Mixed formats remain only for an intersection (see the planner note
+  // above).
+  const bool u_sparse = u.format() == Vector<U>::Format::sparse;
+  const bool v_sparse = v.format() == Vector<V>::Format::sparse;
+  assert(!UnionMode || (u_sparse && v_sparse));
+  if (!u_sparse) {
+    // Intersection with a bitmap u and a sparse v: walk v's entries and
+    // probe u — O(nnz(v)), not O(n).
     const std::uint8_t *up = u.bitmap_present();
     const U *uv = u.bitmap_values();
-    const std::uint8_t *vp = v.bitmap_present();
-    const V *vv = v.bitmap_values();
-    run_chunked(n, n,
+    auto vi = v.sparse_indices();
+    auto vv = v.sparse_values();
+    run_chunked(static_cast<Index>(vi.size()), static_cast<Index>(vi.size()),
                 [&](Index lo, Index hi, std::vector<Index> &oi,
                     std::vector<Z> &ov) {
-                  for (Index i = lo; i < hi; ++i) {
-                    const bool hu = up[i] != 0;
-                    const bool hv = vp[i] != 0;
-                    if (!hu && !hv) continue;
-                    combine(oi, ov, i, hu ? &uv[i] : nullptr,
-                            hv ? &vv[i] : nullptr);
+                  for (Index q = lo; q < hi; ++q) {
+                    const Index i = vi[q];
+                    if (up[i]) combine(oi, ov, i, &uv[i], &vv[q]);
+                  }
+                });
+  } else if (!v_sparse) {
+    // The mirror case: walk u's entries and probe v.
+    const std::uint8_t *vp = v.bitmap_present();
+    const V *vv = v.bitmap_values();
+    auto ui = u.sparse_indices();
+    auto uv = u.sparse_values();
+    run_chunked(static_cast<Index>(ui.size()), static_cast<Index>(ui.size()),
+                [&](Index lo, Index hi, std::vector<Index> &oi,
+                    std::vector<Z> &ov) {
+                  for (Index p = lo; p < hi; ++p) {
+                    const Index i = ui[p];
+                    if (vp[i]) combine(oi, ov, i, &uv[p], &vv[i]);
                   }
                 });
   } else {

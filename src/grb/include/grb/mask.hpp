@@ -10,6 +10,17 @@
 //      semantics, or is cleared under replace semantics ⟨M, r⟩.
 // Centralizing this in write_result() keeps every kernel small and makes the
 // subtle mask/accumulator interplay testable in one place.
+//
+// Vector results take one of three routes:
+//   - adopt: T replaces w outright when nothing of w can survive;
+//   - in-place fold: when w or T is bitmap (a dense result: pull products,
+//     eWise of two bitmaps, apply/select/reduce slots), w becomes a bitmap
+//     and one pass over [0, n) decides each position's fate and writes it
+//     into w's arrays. An accumulator into a full bitmap w so costs one pass
+//     (PageRank's r += Aᵀw). The mask may be w itself: position i's mask bit
+//     is read before w(i) is written;
+//   - sorted merge: w and T both sparse build a fresh sorted list.
+// A final density check (Vector::maybe_switch_format) picks w's format.
 #pragma once
 
 #include <type_traits>
@@ -112,6 +123,63 @@ void write_result(Vector<W> &w, Vector<Z> &&t, const MaskT &mask, Accum accum,
     }
   }
 
+  if (w.format() == Vector<W>::Format::bitmap ||
+      t.format() == Vector<Z>::Format::bitmap) {
+    // Dense result: fold t into w's bitmap in place, one pass over [0, n).
+    // Position i's mask bit is read before w(i) is written and no other
+    // position of w is read at step i, so the mask may be w itself.
+    w.to_bitmap();
+    std::uint8_t *wp = w.bitmap_present_mut();
+    W *wv = w.bitmap_values_mut();
+    Index nv = w.nvals();
+    auto fold = [&](Index i, const Z *z) {
+      const bool hc = wp[i] != 0;
+      if (!hc && z == nullptr) return;
+      if (!vmask_test(mask, i, d)) {
+        if (d.replace && hc) {
+          wp[i] = 0;
+          --nv;
+        }
+        return;
+      }
+      if (z == nullptr) {
+        // Inside the mask without a new value: the accumulator keeps the
+        // old entry, a plain write deletes it.
+        if constexpr (!is_accum_v<Accum>) {
+          wp[i] = 0;
+          --nv;
+        }
+        return;
+      }
+      if (!hc) {
+        wp[i] = 1;
+        ++nv;
+        wv[i] = static_cast<W>(*z);
+      } else if constexpr (is_accum_v<Accum>) {
+        wv[i] = accum_apply<W>(accum, wv[i], *z);
+      } else {
+        wv[i] = static_cast<W>(*z);
+      }
+    };
+    if (t.format() == Vector<Z>::Format::bitmap) {
+      const std::uint8_t *tp = t.bitmap_present();
+      const Z *tv = t.bitmap_values();
+      for (Index i = 0; i < n; ++i) fold(i, tp[i] ? &tv[i] : nullptr);
+    } else {
+      auto ti = t.sparse_indices();
+      auto tv = t.sparse_values();
+      std::size_t b = 0;
+      for (Index i = 0; i < n; ++i) {
+        const bool hz = b < ti.size() && ti[b] == i;
+        fold(i, hz ? &tv[b++] : nullptr);
+      }
+    }
+    w.set_bitmap_nvals(nv);
+    w.maybe_switch_format();
+    return;
+  }
+
+  // Both sparse: sorted merge into a fresh index/value list.
   std::vector<Index> out_idx;
   std::vector<W> out_val;
   out_idx.reserve(w.nvals() + t.nvals());
@@ -144,42 +212,23 @@ void write_result(Vector<W> &w, Vector<Z> &&t, const MaskT &mask, Accum accum,
     }
   };
 
-  const bool dense_walk = w.format() == Vector<W>::Format::bitmap ||
-                          t.format() == Vector<Z>::Format::bitmap;
-  if (dense_walk) {
-    // Walk the raw bitmap arrays; a bounds-checked get() per position
-    // dominates iteration-heavy algorithms otherwise.
-    w.to_bitmap();
-    t.to_bitmap();
-    const std::uint8_t *wp = w.bitmap_present();
-    const W *wv = w.bitmap_values();
-    const std::uint8_t *tp = t.bitmap_present();
-    const Z *tv = t.bitmap_values();
-    for (Index i = 0; i < n; ++i) {
-      const bool hc = wp[i] != 0;
-      const bool hz = tp[i] != 0;
-      if (!hc && !hz) continue;
-      resolve(i, hc ? &wv[i] : nullptr, hz ? &tv[i] : nullptr);
-    }
-  } else {
-    auto wi = w.sparse_indices();
-    auto wv = w.sparse_values();
-    auto ti = t.sparse_indices();
-    auto tv = t.sparse_values();
-    std::size_t a = 0;
-    std::size_t b = 0;
-    while (a < wi.size() || b < ti.size()) {
-      if (b >= ti.size() || (a < wi.size() && wi[a] < ti[b])) {
-        resolve(wi[a], &wv[a], nullptr);
-        ++a;
-      } else if (a >= wi.size() || ti[b] < wi[a]) {
-        resolve(ti[b], nullptr, &tv[b]);
-        ++b;
-      } else {
-        resolve(wi[a], &wv[a], &tv[b]);
-        ++a;
-        ++b;
-      }
+  auto wi = w.sparse_indices();
+  auto wv = w.sparse_values();
+  auto ti = t.sparse_indices();
+  auto tv = t.sparse_values();
+  std::size_t a = 0;
+  std::size_t b = 0;
+  while (a < wi.size() || b < ti.size()) {
+    if (b >= ti.size() || (a < wi.size() && wi[a] < ti[b])) {
+      resolve(wi[a], &wv[a], nullptr);
+      ++a;
+    } else if (a >= wi.size() || ti[b] < wi[a]) {
+      resolve(ti[b], nullptr, &tv[b]);
+      ++b;
+    } else {
+      resolve(wi[a], &wv[a], &tv[b]);
+      ++a;
+      ++b;
     }
   }
 

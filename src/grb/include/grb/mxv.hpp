@@ -20,7 +20,11 @@
 //     plus/times over exactly-representable values are associative);
 //   - the pull kernel partitions rows by the CSR row-pointer prefix (nnz)
 //     instead of row count, so power-law hub rows no longer serialize a
-//     dynamic schedule.
+//     dynamic schedule. It picks A's format (CSR per index width, bitmap,
+//     full, hypersparse) and u's probe form (bitmap or binary search) once
+//     per call, and each pair runs its own typed row loop. Each row writes
+//     only its own result slot, and the slots are returned as a bitmap
+//     vector, which the output step folds into w in place.
 //
 // Masks are pushed down into both kernels (output positions outside the
 // effective mask are never computed) and then the common output step in
@@ -207,126 +211,134 @@ Vector<Z> push_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
 /// combine(a(i,k), u(k), i, k) over the entries shared with u. With an
 /// all-terminal (`any`) monoid this stops at the first shared entry — the
 /// bottom-up BFS early exit. Rows are chunked by nnz (the CSR row pointer is
-/// the work prefix sum), not by count.
+/// the work prefix sum), not by count. Each row writes only its own result
+/// slot, and the slots are returned as a bitmap vector.
 template <typename Z, typename SR, typename AT, typename U, typename Pred,
           typename Combine>
 Vector<Z> dot_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
                      Pred &&row_allowed, Combine &&combine,
                      [[maybe_unused]] const plan::ExecPlan &pl) {
   stats().pull_calls.fetch_add(1, std::memory_order_relaxed);
+  using AddM = typename SR::add_monoid;
   const Index m = a.nrows();
   const Index n = a.ncols();
+  assert(pl.direction == plan::Direction::pull);
+  assert((u.format() == Vector<U>::Format::bitmap) ==
+         (pl.u_format == plan::VecFormat::bitmap));
+  a.finish();
+
+  // The row loop, instantiated once per (matrix format, probe form) pair so
+  // neither is re-decided per row or per entry. scan(i, step) feeds row i's
+  // entries to step, which returns true once the accumulator is terminal;
+  // probe(k) returns u(k), or nullptr where u has no entry.
+  auto dot_rows = [&](const std::vector<Index> &bounds, auto probe,
+                      auto scan) {
+    return fill_slots<Z>(m, bounds, [&](Index lo, Index hi,
+                                        std::uint8_t *found, Z *out) {
+      Index hits = 0;
+      for (Index i = lo; i < hi; ++i) {
+        if (!row_allowed(i)) continue;
+        bool hit = false;
+        Z acc{};
+        scan(i, [&](Index k, const AT &aik) -> bool {
+          const U *ukp = probe(k);
+          if (ukp == nullptr) return false;
+          Z prod = combine(aik, *ukp, i, k);
+          if (!hit) {
+            hit = true;
+            acc = prod;
+          } else {
+            acc = sr.add(acc, prod);
+          }
+          if constexpr (AddM::has_terminal) {
+            return AddM::is_terminal(acc);
+          }
+          return false;
+        });
+        if (hit) {
+          found[i] = 1;
+          out[i] = acc;
+          ++hits;
+        }
+      }
+      return hits;
+    });
+  };
+
   // The probed operand's format is a plan decision (bitmap = O(1) probes,
   // "particularly important for the 'pull' phase", §VI-A; sorted sparse =
   // binary-search probes, the format ablation's path). The entry point
   // already converted u via plan::prepare — this kernel only executes.
-  assert(pl.direction == plan::Direction::pull);
-  const bool use_bitmap = u.format() == Vector<U>::Format::bitmap;
-  assert(use_bitmap == (pl.u_format == plan::VecFormat::bitmap));
-  const std::uint8_t *up = use_bitmap ? u.bitmap_present() : nullptr;
-  const U *uv = use_bitmap ? u.bitmap_values() : nullptr;
-  auto us_idx = use_bitmap ? std::span<const Index>{} : u.sparse_indices();
-  auto us_val = use_bitmap ? std::span<const U>{} : u.sparse_values();
-  auto probe = [&](Index k) -> const U * {
-    if (use_bitmap) return up[k] ? &uv[k] : nullptr;
-    auto it = std::lower_bound(us_idx.begin(), us_idx.end(), k);
-    if (it == us_idx.end() || *it != k) return nullptr;
-    return &us_val[static_cast<std::size_t>(it - us_idx.begin())];
+  auto probed_rows = [&](const std::vector<Index> &bounds, auto scan) {
+    if (u.format() == Vector<U>::Format::bitmap) {
+      const std::uint8_t *up = u.bitmap_present();
+      const U *uv = u.bitmap_values();
+      return dot_rows(
+          bounds,
+          [up, uv](Index k) -> const U * { return up[k] ? &uv[k] : nullptr; },
+          scan);
+    }
+    auto ui = u.sparse_indices();
+    auto uv = u.sparse_values();
+    return dot_rows(
+        bounds,
+        [ui, uv](Index k) -> const U * {
+          auto it = std::lower_bound(ui.begin(), ui.end(), k);
+          if (it == ui.end() || *it != k) return nullptr;
+          return &uv[static_cast<std::size_t>(it - ui.begin())];
+        },
+        scan);
   };
-  using AddM = typename SR::add_monoid;
 
-  a.finish();
   const auto fmt = a.format();
-  const bool csr = fmt == Matrix<AT>::Format::csr;
-  const std::uint8_t *apres =
-      fmt == Matrix<AT>::Format::bitmap ? a.bitmap_present() : nullptr;
-  const AT *adense = (fmt == Matrix<AT>::Format::bitmap ||
-                      fmt == Matrix<AT>::Format::full)
-                         ? a.dense_values()
-                         : nullptr;
-
-  // Rows are independent dot products: results land in per-row slots (no
-  // shared push_back) and are packed afterwards.
-  std::vector<std::uint8_t> found(static_cast<std::size_t>(m), 0);
-  std::vector<Z> out(static_cast<std::size_t>(m));
-
-  // One width dispatch per kernel call: the per-entry CSR scan below runs
-  // on typed u32 or u64 spans, so halving the index width halves the bytes
-  // this bandwidth-bound loop streams.
-  dispatch_width(a.index_width(), [&](auto tag) {
-    using I = decltype(tag);
-    auto rp = csr ? a.rowptr().template as<I>() : std::span<const I>{};
-    auto cx = csr ? a.colidx().template as<I>() : std::span<const I>{};
-    auto vx = csr ? a.values() : std::span<const AT>{};
-
-    auto do_row = [&](Index i) {
-      if (!row_allowed(i)) return;
-      bool hit = false;
-      Z acc{};
-      auto step = [&](Index k, const AT &aik) -> bool {
-        const U *ukp = probe(k);
-        if (ukp == nullptr) return false;
-        Z prod = combine(aik, *ukp, i, k);
-        if (!hit) {
-          hit = true;
-          acc = prod;
-        } else {
-          acc = sr.add(acc, prod);
+  if (fmt == Matrix<AT>::Format::csr) {
+    // One width dispatch per kernel call: the per-entry scan runs on typed
+    // u32 or u64 spans, so halving the index width halves the bytes this
+    // bandwidth-bound loop streams.
+    return dispatch_width(a.index_width(), [&](auto tag) {
+      using I = decltype(tag);
+      auto rp = a.rowptr().template as<I>();
+      auto cx = a.colidx().template as<I>();
+      auto vx = a.values();
+      const int parts =
+          plan::chunk_parts(rp.empty() ? 0 : static_cast<Index>(rp[m]), 4);
+      return probed_rows(parts > 1 ? partition_rows_by_work(rp, parts)
+                                   : partition_even(m, 1),
+                         [rp, cx, vx](Index i, auto &&step) {
+                           for (std::size_t p = rp[i]; p < rp[i + 1]; ++p) {
+                             if (step(cx[p], vx[p])) break;  // terminal
+                           }
+                         });
+    });
+  }
+  const auto bounds = partition_even(m, plan::chunk_parts(m * n, 4));
+  if (fmt == Matrix<AT>::Format::bitmap || fmt == Matrix<AT>::Format::full) {
+    // Dense rows: direct indexing so a terminal accumulator (`any`, `lor`,
+    // ...) breaks out of the row instead of merely saturating.
+    const AT *ad = a.dense_values();
+    if (fmt == Matrix<AT>::Format::full) {
+      return probed_rows(bounds, [ad, n](Index i, auto &&step) {
+        const AT *row = ad + static_cast<std::size_t>(i) * n;
+        for (Index k = 0; k < n; ++k) {
+          if (step(k, row[k])) break;
         }
-        if constexpr (AddM::has_terminal) {
-          return AddM::is_terminal(acc);
-        }
-        return false;
-      };
-      if (csr) {
-        for (std::size_t p = rp[i]; p < rp[i + 1]; ++p) {
-          if (step(cx[p], vx[p])) break;  // terminal short-circuit
-        }
-      } else if (adense != nullptr) {
-        // bitmap/full rows: direct indexing so a terminal accumulator
-        // (`any`, `lor`, ...) breaks out of the row instead of merely
-        // saturating.
-        const std::size_t base = static_cast<std::size_t>(i) * n;
-        if (apres != nullptr) {
-          for (Index k = 0; k < n; ++k) {
-            if (apres[base + k] && step(k, adense[base + k])) break;
-          }
-        } else {
-          for (Index k = 0; k < n; ++k) {
-            if (step(k, adense[base + k])) break;
-          }
-        }
-      } else {
-        // hypersparse: for_each_in_row cannot break, so saturate instead.
-        bool done = false;
-        a.for_each_in_row(i, [&](Index k, const AT &aik) {
-          if (done) return;
-          done = step(k, aik);
-        });
+      });
+    }
+    const std::uint8_t *ap = a.bitmap_present();
+    return probed_rows(bounds, [ad, ap, n](Index i, auto &&step) {
+      const std::size_t base = static_cast<std::size_t>(i) * n;
+      for (Index k = 0; k < n; ++k) {
+        if (ap[base + k] && step(k, ad[base + k])) break;
       }
-      if (hit) {
-        found[i] = 1;
-        out[i] = acc;
-      }
-    };
-
-    const Index total_work =
-        csr ? (rp.empty() ? 0 : static_cast<Index>(rp[m])) : m * n;
-    const int parts = plan::chunk_parts(total_work, 4);
-    std::vector<Index> bounds = csr && parts > 1
-                                    ? partition_rows_by_work(rp, parts)
-                                    : partition_even(m, parts);
-    for_each_chunk(bounds, [&](int, Index lo, Index hi) {
-      for (Index i = lo; i < hi; ++i) do_row(i);
+    });
+  }
+  // Hypersparse: for_each_in_row cannot break, so saturate instead.
+  return probed_rows(bounds, [&a](Index i, auto &&step) {
+    bool done = false;
+    a.for_each_in_row(i, [&](Index k, const AT &aik) {
+      if (!done) done = step(k, aik);
     });
   });
-
-  std::vector<Index> idx;
-  std::vector<Z> val;
-  pack_slots(found, out, idx, val);
-  Vector<Z> t(m);
-  t.adopt_sparse(std::move(idx), std::move(val));
-  return t;
 }
 
 /// Shared planning step for vxm/mxv: describe the op, get the plan, and
@@ -357,6 +369,86 @@ plan::ExecPlan plan_mxv_op(plan::OpKind op, const Matrix<AT> &a,
   return pl;
 }
 
+/// The product halves of vxm and mxv: plan, run the kernel, and return the
+/// masked product t. They take neither w's value type nor the accumulator,
+/// so every (w type, accumulator) pair shares one kernel instantiation.
+template <typename SR, typename AT, typename U, typename MaskT>
+Vector<typename SR::value_type> vxm_product(SR sr, const Vector<U> &u,
+                                            const Matrix<AT> &a,
+                                            const MaskT &mask,
+                                            const Descriptor &d, Index w_size,
+                                            trace::ScopedSpan &sp) {
+  using Z = typename SR::value_type;
+  auto allowed = [&](Index j) { return vmask_test(mask, j, d); };
+  sp.set_in_nvals(u.nvals());
+  if (!d.transpose_a) {
+    check_same_size(u.size(), a.nrows(), "vxm: u/A dimension mismatch");
+    check_vector_mask(mask, a.ncols());
+    check_same_size(w_size, a.ncols(), "vxm: w/A dimension mismatch");
+    const auto pl =
+        plan_mxv_op<SR>(plan::OpKind::vxm, a, u, mask, d, a.ncols());
+    sp.set_plan(pl);
+    // w(j) = ⊕_k u(k) ⊗ a(k,j): first operand u (row vector, coords (0,k)),
+    // second operand a(k,j).
+    return push_kernel<Z>(
+        sr, a, u, allowed,
+        [&](const AT &aval, const U &uval, Index j, Index k) {
+          return sr.multiply(uval, aval, Index{0}, k, j);
+        },
+        a.ncols(), pl);
+  }
+  check_same_size(u.size(), a.ncols(), "vxm: u/Aᵀ dimension mismatch");
+  check_vector_mask(mask, a.nrows());
+  check_same_size(w_size, a.nrows(), "vxm: w/Aᵀ dimension mismatch");
+  const auto pl = plan_mxv_op<SR>(plan::OpKind::vxm, a, u, mask, d, a.nrows());
+  sp.set_plan(pl);
+  // w(i) = ⊕_k u(k) ⊗ aᵀ(k,i) = ⊕_k u(k) ⊗ a(i,k): dot products over rows.
+  return dot_kernel<Z>(
+      sr, a, u, allowed,
+      [&](const AT &aval, const U &uval, Index i, Index k) {
+        return sr.multiply(uval, aval, Index{0}, k, i);
+      },
+      pl);
+}
+
+template <typename SR, typename AT, typename U, typename MaskT>
+Vector<typename SR::value_type> mxv_product(SR sr, const Matrix<AT> &a,
+                                            const Vector<U> &u,
+                                            const MaskT &mask,
+                                            const Descriptor &d, Index w_size,
+                                            trace::ScopedSpan &sp) {
+  using Z = typename SR::value_type;
+  auto allowed = [&](Index i) { return vmask_test(mask, i, d); };
+  sp.set_in_nvals(u.nvals());
+  if (!d.transpose_a) {
+    check_same_size(u.size(), a.ncols(), "mxv: u/A dimension mismatch");
+    check_vector_mask(mask, a.nrows());
+    check_same_size(w_size, a.nrows(), "mxv: w/A dimension mismatch");
+    const auto pl =
+        plan_mxv_op<SR>(plan::OpKind::mxv, a, u, mask, d, a.nrows());
+    sp.set_plan(pl);
+    // w(i) = ⊕_k a(i,k) ⊗ u(k): first operand is the matrix element.
+    return dot_kernel<Z>(
+        sr, a, u, allowed,
+        [&](const AT &aval, const U &uval, Index i, Index k) {
+          return sr.multiply(aval, uval, i, k, Index{0});
+        },
+        pl);
+  }
+  check_same_size(u.size(), a.nrows(), "mxv: u/Aᵀ dimension mismatch");
+  check_vector_mask(mask, a.ncols());
+  check_same_size(w_size, a.ncols(), "mxv: w/Aᵀ dimension mismatch");
+  const auto pl = plan_mxv_op<SR>(plan::OpKind::mxv, a, u, mask, d, a.ncols());
+  sp.set_plan(pl);
+  // w(j) = ⊕_k aᵀ(j,k) ⊗ u(k) = ⊕_k a(k,j) ⊗ u(k): scatter along rows of A.
+  return push_kernel<Z>(
+      sr, a, u, allowed,
+      [&](const AT &aval, const U &uval, Index j, Index k) {
+        return sr.multiply(aval, uval, j, k, Index{0});
+      },
+      a.ncols(), pl);
+}
+
 }  // namespace detail
 
 /// w⟨m⟩ ⊙= uᵀ ⊕.⊗ A  (push; with desc.transpose_a: uᵀ ⊕.⊗ Aᵀ, a pull).
@@ -365,41 +457,8 @@ template <typename W, typename MaskT, typename Accum, typename SR, typename U,
 void vxm(Vector<W> &w, const MaskT &mask, Accum accum, SR sr,
          const Vector<U> &u, const Matrix<AT> &a,
          const Descriptor &d = desc::DEFAULT) {
-  using Z = typename SR::value_type;
-  auto allowed = [&](Index j) { return detail::vmask_test(mask, j, d); };
   trace::ScopedSpan sp(trace::SpanKind::vxm);
-  sp.set_in_nvals(u.nvals());
-  Vector<Z> t(0);
-  if (!d.transpose_a) {
-    detail::check_same_size(u.size(), a.nrows(), "vxm: u/A dimension mismatch");
-    detail::check_vector_mask(mask, a.ncols());
-    detail::check_same_size(w.size(), a.ncols(), "vxm: w/A dimension mismatch");
-    const auto pl = detail::plan_mxv_op<SR>(plan::OpKind::vxm, a, u, mask, d,
-                                            a.ncols());
-    sp.set_plan(pl);
-    // w(j) = ⊕_k u(k) ⊗ a(k,j): first operand u (row vector, coords (0,k)),
-    // second operand a(k,j).
-    t = detail::push_kernel<Z>(
-        sr, a, u, allowed,
-        [&](const AT &aval, const U &uval, Index j, Index k) {
-          return sr.multiply(uval, aval, Index{0}, k, j);
-        },
-        a.ncols(), pl);
-  } else {
-    detail::check_same_size(u.size(), a.ncols(), "vxm: u/Aᵀ dimension mismatch");
-    detail::check_vector_mask(mask, a.nrows());
-    detail::check_same_size(w.size(), a.nrows(), "vxm: w/Aᵀ dimension mismatch");
-    const auto pl = detail::plan_mxv_op<SR>(plan::OpKind::vxm, a, u, mask, d,
-                                            a.nrows());
-    sp.set_plan(pl);
-    // w(i) = ⊕_k u(k) ⊗ aᵀ(k,i) = ⊕_k u(k) ⊗ a(i,k): dot products over rows.
-    t = detail::dot_kernel<Z>(
-        sr, a, u, allowed,
-        [&](const AT &aval, const U &uval, Index i, Index k) {
-          return sr.multiply(uval, aval, Index{0}, k, i);
-        },
-        pl);
-  }
+  auto t = detail::vxm_product(sr, u, a, mask, d, w.size(), sp);
   sp.set_out_nvals(t.nvals());
   detail::write_result(w, std::move(t), mask, accum, d, /*t_is_masked=*/true);
 }
@@ -410,40 +469,8 @@ template <typename W, typename MaskT, typename Accum, typename SR, typename AT,
 void mxv(Vector<W> &w, const MaskT &mask, Accum accum, SR sr,
          const Matrix<AT> &a, const Vector<U> &u,
          const Descriptor &d = desc::DEFAULT) {
-  using Z = typename SR::value_type;
-  auto allowed = [&](Index i) { return detail::vmask_test(mask, i, d); };
   trace::ScopedSpan sp(trace::SpanKind::mxv);
-  sp.set_in_nvals(u.nvals());
-  Vector<Z> t(0);
-  if (!d.transpose_a) {
-    detail::check_same_size(u.size(), a.ncols(), "mxv: u/A dimension mismatch");
-    detail::check_vector_mask(mask, a.nrows());
-    detail::check_same_size(w.size(), a.nrows(), "mxv: w/A dimension mismatch");
-    const auto pl = detail::plan_mxv_op<SR>(plan::OpKind::mxv, a, u, mask, d,
-                                            a.nrows());
-    sp.set_plan(pl);
-    // w(i) = ⊕_k a(i,k) ⊗ u(k): first operand is the matrix element.
-    t = detail::dot_kernel<Z>(
-        sr, a, u, allowed,
-        [&](const AT &aval, const U &uval, Index i, Index k) {
-          return sr.multiply(aval, uval, i, k, Index{0});
-        },
-        pl);
-  } else {
-    detail::check_same_size(u.size(), a.nrows(), "mxv: u/Aᵀ dimension mismatch");
-    detail::check_vector_mask(mask, a.ncols());
-    detail::check_same_size(w.size(), a.ncols(), "mxv: w/Aᵀ dimension mismatch");
-    const auto pl = detail::plan_mxv_op<SR>(plan::OpKind::mxv, a, u, mask, d,
-                                            a.ncols());
-    sp.set_plan(pl);
-    // w(j) = ⊕_k aᵀ(j,k) ⊗ u(k) = ⊕_k a(k,j) ⊗ u(k): scatter along rows of A.
-    t = detail::push_kernel<Z>(
-        sr, a, u, allowed,
-        [&](const AT &aval, const U &uval, Index j, Index k) {
-          return sr.multiply(aval, uval, j, k, Index{0});
-        },
-        a.ncols(), pl);
-  }
+  auto t = detail::mxv_product(sr, a, u, mask, d, w.size(), sp);
   sp.set_out_nvals(t.nvals());
   detail::write_result(w, std::move(t), mask, accum, d, /*t_is_masked=*/true);
 }

@@ -32,6 +32,7 @@
 #include "grb/config.hpp"
 #include "grb/indexarray.hpp"
 #include "grb/types.hpp"
+#include "grb/vector.hpp"
 
 namespace grb {
 namespace detail {
@@ -285,36 +286,25 @@ class WorkspaceLease {
 // Shared output-assembly helpers
 // ---------------------------------------------------------------------------
 
-/// Pack per-slot results (found[i] ⇒ out[i]) into sorted sparse (idx, val)
-/// arrays. Two-phase: per-chunk counts, exclusive offsets, then a parallel
-/// fill into the exact output positions.
-template <typename Z>
-void pack_slots(const std::vector<std::uint8_t> &found,
-                const std::vector<Z> &out, std::vector<Index> &idx,
-                std::vector<Z> &val) {
-  const Index m = static_cast<Index>(found.size());
-  const int parts = std::max(1, effective_threads() * 4);
-  auto bounds = partition_even(m, m >= kParallelGrain ? parts : 1);
-  const int nchunks = static_cast<int>(bounds.size()) - 1;
-  std::vector<Index> counts(static_cast<std::size_t>(nchunks) + 1, 0);
+/// Build a size-n bitmap result from per-position slots. Each chunk of
+/// `bounds` (a split of [0, n)) runs fill(lo, hi, found, out): it sets
+/// found[i] = 1 and out[i] for the positions i in [lo, hi) that get an
+/// entry and returns how many it set. Chunks own disjoint slots, so the
+/// result is the same for any schedule; the slot arrays become the
+/// vector's bitmap storage without a copy.
+template <typename Z, typename Fill>
+Vector<Z> fill_slots(Index n, const std::vector<Index> &bounds, Fill &&fill) {
+  std::vector<std::uint8_t> found(static_cast<std::size_t>(n), 0);
+  std::vector<Z> out(static_cast<std::size_t>(n));
+  std::vector<Index> hits(bounds.size() - 1, 0);
   for_each_chunk(bounds, [&](int c, Index lo, Index hi) {
-    Index cnt = 0;
-    for (Index i = lo; i < hi; ++i) cnt += found[i];
-    counts[c + 1] = cnt;
+    hits[c] = fill(lo, hi, found.data(), out.data());
   });
-  for (int c = 0; c < nchunks; ++c) counts[c + 1] += counts[c];
-  idx.resize(counts[nchunks]);
-  val.resize(counts[nchunks]);
-  for_each_chunk(bounds, [&](int c, Index lo, Index hi) {
-    Index at = counts[c];
-    for (Index i = lo; i < hi; ++i) {
-      if (found[i]) {
-        idx[at] = i;
-        val[at] = out[i];
-        ++at;
-      }
-    }
-  });
+  Index nvals = 0;
+  for (Index h : hits) nvals += h;
+  Vector<Z> t(n);
+  t.adopt_bitmap(std::move(found), std::move(out), nvals);
+  return t;
 }
 
 /// Concatenate per-chunk (idx, val) buffers in chunk order.

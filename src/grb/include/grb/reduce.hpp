@@ -37,43 +37,38 @@ void reduce(Vector<W> &w, const MaskT &mask, Accum accum, M monoid,
   detail::check_same_size(w.size(), src->nrows(), "reduce: size mismatch");
   src->finish();
   const Index m = src->nrows();
-  std::vector<std::uint8_t> found(static_cast<std::size_t>(m), 0);
-  std::vector<Z> out(static_cast<std::size_t>(m));
-
-  auto do_row = [&](Index i) {
-    bool hit = false;
-    Z acc{};
-    src->for_each_in_row(i, [&](Index, const A &x) {
-      if (!hit) {
-        hit = true;
-        acc = static_cast<Z>(x);
-      } else {
-        acc = monoid(acc, static_cast<Z>(x));
-      }
-    });
-    if (hit) {
-      found[i] = 1;
-      out[i] = acc;
-    }
-  };
 
   // Row reductions are independent; chunk them by row nnz (the CSR row
-  // pointer is the work prefix) so hub rows don't serialize the loop.
+  // pointer is the work prefix) so hub rows don't serialize the loop. Each
+  // row fills its own result slot, and the slots are the bitmap result.
   const bool csr = src->format() == Matrix<A>::Format::csr;
   const int parts = plan::chunk_parts(src->nvals(), 4);
   sp.set_threads(parts);
   std::vector<Index> bounds =
       csr && parts > 1 ? detail::partition_rows_by_work(src->rowptr(), parts)
                        : detail::partition_even(m, parts);
-  detail::for_each_chunk(bounds, [&](int, Index lo, Index hi) {
-    for (Index i = lo; i < hi; ++i) do_row(i);
-  });
-
-  std::vector<Index> idx;
-  std::vector<Z> val;
-  detail::pack_slots(found, out, idx, val);
-  Vector<Z> t(src->nrows());
-  t.adopt_sparse(std::move(idx), std::move(val));
+  Vector<Z> t = detail::fill_slots<Z>(
+      m, bounds, [&](Index lo, Index hi, std::uint8_t *found, Z *out) {
+        Index hits = 0;
+        for (Index i = lo; i < hi; ++i) {
+          bool hit = false;
+          Z acc{};
+          src->for_each_in_row(i, [&](Index, const A &x) {
+            if (!hit) {
+              hit = true;
+              acc = static_cast<Z>(x);
+            } else {
+              acc = monoid(acc, static_cast<Z>(x));
+            }
+          });
+          if (hit) {
+            found[i] = 1;
+            out[i] = acc;
+            ++hits;
+          }
+        }
+        return hits;
+      });
   sp.set_out_nvals(t.nvals());
   detail::write_result(w, std::move(t), mask, accum, d);
 }

@@ -4,6 +4,8 @@
 // replace}, with and without an accumulator.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "grb/grb.hpp"
@@ -36,11 +38,60 @@ struct Fix {
   }
 };
 
-// Drive the output step through apply (identity), the simplest op.
+template <typename V>
+void set_format(V &v, bool bitmap) {
+  if constexpr (!std::is_same_v<V, grb::NoMaskT>) {
+    if (bitmap) {
+      v.to_bitmap();
+    } else {
+      v.to_sparse();
+    }
+  }
+}
+
+// Drive the output step through apply (identity), the simplest op; apply
+// keeps its input's format, so t reaches the output step as stored. Each
+// case runs with w, t and the mask each sparse and each bitmap, and every
+// run must equal the all-sparse run, which is returned.
 template <typename MaskT, typename Accum>
-Vector<int> run(Fix f, const MaskT &mask, Accum accum, grb::Descriptor d) {
-  grb::apply(f.w, mask, accum, grb::Identity{}, f.t, d);
-  return f.w;
+Vector<int> run(const Fix &f, const MaskT &mask, Accum accum,
+                grb::Descriptor d) {
+  std::optional<Vector<int>> want;
+  for (int bits = 0; bits < 8; ++bits) {
+    Fix g = f;
+    MaskT m = mask;
+    set_format(g.w, (bits & 1) != 0);
+    set_format(g.t, (bits & 2) != 0);
+    set_format(m, (bits & 4) != 0);
+    grb::apply(g.w, m, accum, grb::Identity{}, g.t, d);
+    if (!want) {
+      want = g.w;
+    } else {
+      EXPECT_EQ(g.w, *want) << "bitmap w, t, mask = " << (bits & 1) << ", "
+                            << (bits >> 1 & 1) << ", " << (bits >> 2);
+    }
+  }
+  return *want;
+}
+
+// Same, with the output as its own mask: w⟨w⟩ ⊙= t. Each position's mask
+// bit has to be read before that position of w is written.
+template <typename Accum>
+Vector<int> run_self_masked(Accum accum, grb::Descriptor d) {
+  std::optional<Vector<int>> want;
+  for (int bits = 0; bits < 4; ++bits) {
+    Fix g;
+    set_format(g.w, (bits & 1) != 0);
+    set_format(g.t, (bits & 2) != 0);
+    grb::apply(g.w, g.w, accum, grb::Identity{}, g.t, d);
+    if (!want) {
+      want = g.w;
+    } else {
+      EXPECT_EQ(g.w, *want) << "bitmap w, t = " << (bits & 1) << ", "
+                            << (bits >> 1);
+    }
+  }
+  return *want;
 }
 
 }  // namespace
@@ -161,4 +212,39 @@ TEST(MaskSemantics, BitmapMaskMatchesSparseMask) {
   f2.m.to_bitmap();
   auto w2 = run(f2, f2.m, grb::NoAccum{}, grb::desc::SC);
   EXPECT_EQ(w1, w2);
+}
+
+// w's pattern {0,1,4} is the mask: 0 and 4 have no new value and are
+// deleted, 1 is overwritten.
+TEST(MaskSemantics, OutputIsItsOwnMask) {
+  auto w = run_self_masked(grb::NoAccum{}, {});
+  EXPECT_EQ(w.nvals(), 1u);
+  EXPECT_EQ(w.get(1), 2);
+}
+
+TEST(MaskSemantics, OutputIsItsOwnMaskWithAccum) {
+  auto w = run_self_masked(grb::Plus{}, grb::desc::S);
+  EXPECT_EQ(w.nvals(), 3u);
+  EXPECT_EQ(w.get(0), 10);
+  EXPECT_EQ(w.get(1), 22);
+  EXPECT_EQ(w.get(4), 50);
+}
+
+// The complement selects {2,3}, where w has no entry. Writing w(2) must not
+// change what the mask says about position 2.
+TEST(MaskSemantics, OutputIsItsOwnComplementedMask) {
+  auto w = run_self_masked(grb::NoAccum{}, grb::desc::C);
+  EXPECT_EQ(w.nvals(), 5u);
+  EXPECT_EQ(w.get(0), 10);
+  EXPECT_EQ(w.get(1), 20);
+  EXPECT_EQ(w.get(2), 3);
+  EXPECT_EQ(w.get(3), 4);
+  EXPECT_EQ(w.get(4), 50);
+}
+
+TEST(MaskSemantics, OutputIsItsOwnComplementedMaskWithAccumReplace) {
+  auto w = run_self_masked(grb::Plus{}, grb::desc::RC);
+  EXPECT_EQ(w.nvals(), 2u);
+  EXPECT_EQ(w.get(2), 3);
+  EXPECT_EQ(w.get(3), 4);
 }

@@ -142,3 +142,24 @@ TEST(PageRank, NullOutputIsError) {
                                       msg),
             LAGRAPH_NULL_POINTER);
 }
+
+TEST(PageRank, IterationsKeepRankVectorsBitmap) {
+  // Every rank vector is dense, so each kernel of an iteration must write
+  // its result as a bitmap instead of a sparse temporary that is converted
+  // back. The vector format-switch count then stays flat however many
+  // iterations run.
+  auto t = testutil::small_road(48, 3);
+  char msg[LAGRAPH_MSG_LEN];
+  ASSERT_GE(lagraph::property_at(t.lg, msg), 0) << msg;
+  ASSERT_GE(lagraph::property_row_degree(t.lg, msg), 0) << msg;
+  grb::Vector<double> r;
+  int iters = 0;
+  const auto before = grb::stats().snapshot().format_switches;
+  ASSERT_GE(lagraph::advanced::pagerank_gap(&r, &iters, t.lg, 0.85, 1e-7,
+                                            100, msg),
+            0)
+      << msg;
+  const auto switches = grb::stats().snapshot().format_switches - before;
+  EXPECT_GT(iters, 10);
+  EXPECT_LE(switches, 2u) << "over " << iters << " iterations";
+}
