@@ -245,10 +245,9 @@ int main(int argc, char **argv) {
               bytes_per_edge, bench::peak_rss_mb());
 
   const grb::Stats &st = grb::stats();
-  std::printf("planner: %llu plans built, %llu cache hits, %llu overridden; "
+  std::printf("planner: %llu plans built, %llu overridden; "
               "%llu push / %llu pull decisions; %llu format conversions\n",
               static_cast<unsigned long long>(st.plans_built.load()),
-              static_cast<unsigned long long>(st.plans_cached.load()),
               static_cast<unsigned long long>(st.plans_overridden.load()),
               static_cast<unsigned long long>(st.plan_push_decisions.load()),
               static_cast<unsigned long long>(st.plan_pull_decisions.load()),

@@ -45,11 +45,7 @@
 #       write-log replay),
 #   3. a trace smoke: lagraph_cli trace bfs on a generated kron graph, with
 #      the emitted Chrome trace-event JSON validated by python3,
-#   3b. a calibration round-trip smoke: trace bfs fits per-machine
-#       ns/cost-unit coefficients and persists them (--calibration-out);
-#       the file is schema-checked and reloaded into a fresh process whose
-#       `explain --calibration` must render the fitted values,
-#   3c. a telemetry smoke: lagraph_cli serve --telemetry-port 0 on a
+#   3b. a telemetry smoke: lagraph_cli serve --telemetry-port 0 on a
 #       generated graph, the printed ephemeral port scraped over HTTP —
 #       /healthz must answer "ok" and /metrics must expose a non-zero
 #       lagraph_requests_total,
@@ -67,7 +63,7 @@
 #                      below this many ms are shown but
 #                      never fail the gate (sub-ms cells
 #                      are noise)                        (default: 0.5)
-#   SKIP_SMOKE=1       skip step 3 entirely
+#   SKIP_SMOKE=1       skip step 4, the perf smoke
 #   SKIP_TSAN=1        skip the TSan query-stress leg
 #   QUERY_FUZZ_OPS     scenario budget for the query fuzz   (default: 10000)
 #
@@ -202,39 +198,6 @@ for e in levels:
 print(f"trace smoke OK: {len(events)} events, {len(levels)} bfs levels")
 EOF
 rm -f "$trace_json"
-
-step "calibration round-trip: trace --calibration-out, reload, explain"
-# Fits per-machine ns/cost-unit coefficients from a traced BFS, persists
-# them, reloads them into a fresh process, and asserts `explain` renders the
-# calibrated estimates (proof the file round-trips and the planner reads it).
-# The trace itself goes to a temp file too; without --trace-out the CLI
-# writes trace.json into the working directory.
-cal_json=$(mktemp --suffix=.json)
-cal_trace_json=$(mktemp --suffix=.json)
-"$BUILD_DIR"/tools/lagraph_cli trace bfs --gen kron 10 \
-    --calibration-out "$cal_json" --trace-out "$cal_trace_json" >/dev/null
-rm -f "$cal_trace_json"
-python3 - "$cal_json" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    cal = json.load(f)
-assert cal["schema"] == "lagraph-calibration-v1", cal
-assert cal["samples"] > 0, cal
-assert cal["push_ns_per_unit"] > 0 or cal["pull_ns_per_unit"] > 0, cal
-print(f"calibration file OK: push {cal['push_ns_per_unit']:.2f}, "
-      f"pull {cal['pull_ns_per_unit']:.2f} ns/unit, "
-      f"{cal['samples']} samples")
-EOF
-explain_out=$("$BUILD_DIR"/tools/lagraph_cli explain bfs --gen kron 10 \
-    --calibration "$cal_json")
-if ! grep -q "^calibration: push" <<<"$explain_out"; then
-  echo "check.sh: explain did not report the loaded calibration:" >&2
-  echo "$explain_out" >&2
-  exit 1
-fi
-grep "^calibration:" <<<"$explain_out"
-rm -f "$cal_json"
 
 step "telemetry smoke: lagraph_cli serve --telemetry-port 0 --serve-seconds 8"
 # Serves a generated graph with the embedded HTTP telemetry endpoint on an

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "grb/types.hpp"
 
@@ -61,28 +60,6 @@ struct Config {
   bool force_pull = false;
   ForceFormat force_format = ForceFormat::none;
 
-  /// Fused-kernel dispatch (grb/plan.hpp OpKind::fused_*). When enabled the
-  /// planner may route a fusable op chain (masked mxv+stamp, vxm+range
-  /// select) through its single-sweep kernel if the cost model favours it;
-  /// when disabled every fused entry point runs the unfused composition.
-  /// Results are bit-identical either way — this knob exists for ablation
-  /// benchmarks and for bisecting perf regressions to the fusion decision.
-  bool enable_fusion = true;
-
-  /// Calibration-coefficient file (grb::plan::Calibration). When non-empty,
-  /// the planner lazily loads fitted per-machine ns/cost-unit coefficients
-  /// from this path on the next make_plan() and tags plans' explain()
-  /// output with nanosecond estimates. Empty (default) = stay in model
-  /// units. Written by `lagraph_cli trace --calibration-out`.
-  std::string calibration_file;
-
-  /// Online coefficient refresh (service::Engine workers): every Nth
-  /// *recorded* kernel span folds its actual-vs-predicted ratio into the
-  /// calibration coefficients (EWMA). 0 disables updates (the default).
-  /// Requires trace_sample_every > 0 — unrecorded spans never reach the
-  /// observe hook.
-  std::uint32_t calibration_update_every = 0;
-
   /// grb::trace sampling gate (grb/trace.hpp): 0 disables span recording
   /// entirely (the default — a ScopedSpan then costs one branch and touches
   /// no global state), 1 records every span, N records every Nth span per
@@ -115,72 +92,69 @@ inline Config &config() {
   return c;
 }
 
+/// Every instrumentation counter, in exposition order, as X(name). This one
+/// list generates the StatsSnapshot fields, StatsSnapshot::for_each, the
+/// Stats atomics, Stats::snapshot() and Stats::reset(), so the five cannot
+/// drift apart. The names are a public surface: the service's
+/// `grb_stats{counter=...}` exposition, `lagraph_cli stats --json` and the
+/// engine benchmark read them. Append new counters; never reorder.
+#define GRB_STATS_COUNTERS(X)                                                \
+  X(row_sorts)       /* deferred sorts performed */                         \
+  X(eager_sorts)     /* eager sorts performed */                            \
+  X(pending_flushes) /* pending-tuple merges */                             \
+  X(format_switches) /* vector format conversions */                        \
+  /* Index-width transitions (grb/indexarray.hpp): u64→u32 compressions at \
+     build/finalize time, u32→u64 promotions when a rebuild or mutation    \
+     merge pushes a container past the u32 limit. */                        \
+  X(index_width_compressions)                                               \
+  X(index_width_promotions)                                                 \
+  /* Service layer (lagraph::service): container freezes and batching. */   \
+  X(finalize_calls)  /* Matrix/Vector finalize() */                         \
+  X(snapshot_builds) /* GraphSnapshot::build */                             \
+  X(batched_queries) /* queries merged into a batch */                      \
+  X(solo_queries)    /* queries run one-at-a-time */                        \
+  X(batch_sweeps)    /* msbfs sweeps issued */                              \
+  /* Parallel kernels (grb/parallel.hpp): push/pull mix, OpenMP teams      \
+     forked, and work chunks run off their round-robin home. */             \
+  X(push_calls)        /* saxpy (vxm-style) kernels */                      \
+  X(pull_calls)        /* dot (mxv-style) kernels */                        \
+  X(parallel_regions)  /* OpenMP teams forked */                            \
+  X(work_items_stolen) /* chunks run off-home */                            \
+  /* Execution planner (grb/plan.hpp). plans_cached is never incremented   \
+     (every plan is built fresh); it stays because the engine benchmark    \
+     reports it per probe kind. */                                          \
+  X(plans_built)         /* cost model evaluated */                         \
+  X(plans_cached)        /* always 0, see above */                          \
+  X(plans_overridden)    /* hint/override decided */                        \
+  X(plan_push_decisions) /* plans choosing push */                          \
+  X(plan_pull_decisions) /* plans choosing pull */                          \
+  X(format_conversions)  /* planner-driven converts */                      \
+  X(fused_dispatches)    /* fused single-sweep kernel ran */                \
+  /* Ingest (lagraph::ingest): mutation commands accepted, writer drains,  \
+     snapshot publications, retired snapshots reclaimed after grace. */     \
+  X(edges_ingested)                                                         \
+  X(ingest_batches)                                                         \
+  X(epochs_published)                                                       \
+  X(snapshots_reclaimed)
+
 /// Plain-value copy of the Stats counters at one instant. Readers (CLI JSON
 /// dumps, the service Prometheus exposition, bench reports) should take a
 /// snapshot() instead of touching the hot atomics field-by-field: each
 /// counter is loaded exactly once, so a report can't show the same counter
 /// with two different values.
 struct StatsSnapshot {
-  std::uint64_t row_sorts = 0;
-  std::uint64_t eager_sorts = 0;
-  std::uint64_t pending_flushes = 0;
-  std::uint64_t format_switches = 0;
-  std::uint64_t index_width_compressions = 0;
-  std::uint64_t index_width_promotions = 0;
-  std::uint64_t finalize_calls = 0;
-  std::uint64_t snapshot_builds = 0;
-  std::uint64_t batched_queries = 0;
-  std::uint64_t solo_queries = 0;
-  std::uint64_t batch_sweeps = 0;
-  std::uint64_t push_calls = 0;
-  std::uint64_t pull_calls = 0;
-  std::uint64_t parallel_regions = 0;
-  std::uint64_t work_items_stolen = 0;
-  std::uint64_t plans_built = 0;
-  std::uint64_t plans_cached = 0;
-  std::uint64_t plans_overridden = 0;
-  std::uint64_t plan_push_decisions = 0;
-  std::uint64_t plan_pull_decisions = 0;
-  std::uint64_t format_conversions = 0;
-  std::uint64_t fused_dispatches = 0;
-  std::uint64_t calibration_updates = 0;
-  std::uint64_t edges_ingested = 0;
-  std::uint64_t ingest_batches = 0;
-  std::uint64_t epochs_published = 0;
-  std::uint64_t snapshots_reclaimed = 0;
+#define GRB_STATS_FIELD(name) std::uint64_t name = 0;
+  GRB_STATS_COUNTERS(GRB_STATS_FIELD)
+#undef GRB_STATS_FIELD
 
-  /// Visit every counter as (name, value), in declaration order — the one
-  /// place the counter list is spelled out for serializers (lagraph_cli
-  /// stats JSON, the service /metrics exposition).
+  /// Visit every counter as (name, value), in declaration order — what
+  /// serializers (lagraph_cli stats JSON, the service /metrics exposition)
+  /// iterate.
   template <typename F>
   void for_each(F &&f) const {
-    f("row_sorts", row_sorts);
-    f("eager_sorts", eager_sorts);
-    f("pending_flushes", pending_flushes);
-    f("format_switches", format_switches);
-    f("index_width_compressions", index_width_compressions);
-    f("index_width_promotions", index_width_promotions);
-    f("finalize_calls", finalize_calls);
-    f("snapshot_builds", snapshot_builds);
-    f("batched_queries", batched_queries);
-    f("solo_queries", solo_queries);
-    f("batch_sweeps", batch_sweeps);
-    f("push_calls", push_calls);
-    f("pull_calls", pull_calls);
-    f("parallel_regions", parallel_regions);
-    f("work_items_stolen", work_items_stolen);
-    f("plans_built", plans_built);
-    f("plans_cached", plans_cached);
-    f("plans_overridden", plans_overridden);
-    f("plan_push_decisions", plan_push_decisions);
-    f("plan_pull_decisions", plan_pull_decisions);
-    f("format_conversions", format_conversions);
-    f("fused_dispatches", fused_dispatches);
-    f("calibration_updates", calibration_updates);
-    f("edges_ingested", edges_ingested);
-    f("ingest_batches", ingest_batches);
-    f("epochs_published", epochs_published);
-    f("snapshots_reclaimed", snapshots_reclaimed);
+#define GRB_STATS_VISIT(name) f(#name, name);
+    GRB_STATS_COUNTERS(GRB_STATS_VISIT)
+#undef GRB_STATS_VISIT
   }
 };
 
@@ -189,59 +163,9 @@ struct StatsSnapshot {
 /// a sort when lazy sort is enabled ("if the sort is lazy enough, it might
 /// never occur").
 struct Stats {
-  std::atomic<std::uint64_t> row_sorts{0};        // deferred sorts performed
-  std::atomic<std::uint64_t> eager_sorts{0};      // eager sorts performed
-  std::atomic<std::uint64_t> pending_flushes{0};  // pending-tuple merges
-  std::atomic<std::uint64_t> format_switches{0};  // vector format conversions
-
-  // Index-width transitions (grb/indexarray.hpp): compressions are
-  // u64→u32 conversions at build/finalize time (the memory win landing);
-  // promotions are u32→u64 when a rebuild or mutation merge pushes a
-  // container past the u32 limit.
-  std::atomic<std::uint64_t> index_width_compressions{0};
-  std::atomic<std::uint64_t> index_width_promotions{0};
-
-  // Service-layer counters (lagraph::service): how often containers are
-  // frozen for concurrent sharing and how effective query batching is. The
-  // throughput benchmark reports batching effectiveness straight from these,
-  // with no external profiler.
-  std::atomic<std::uint64_t> finalize_calls{0};   // Matrix/Vector finalize()
-  std::atomic<std::uint64_t> snapshot_builds{0};  // GraphSnapshot::build
-  std::atomic<std::uint64_t> batched_queries{0};  // queries merged into a batch
-  std::atomic<std::uint64_t> solo_queries{0};     // queries run one-at-a-time
-  std::atomic<std::uint64_t> batch_sweeps{0};     // msbfs sweeps issued
-
-  // Parallel-kernel counters (grb/parallel.hpp): push/pull kernel mix, how
-  // many OpenMP regions actually forked, and how many work chunks were
-  // claimed by a thread other than their round-robin home — the
-  // load-imbalance signal of the nnz-balanced scheduler.
-  std::atomic<std::uint64_t> push_calls{0};         // saxpy (vxm-style) kernels
-  std::atomic<std::uint64_t> pull_calls{0};         // dot (mxv-style) kernels
-  std::atomic<std::uint64_t> parallel_regions{0};   // OpenMP teams forked
-  std::atomic<std::uint64_t> work_items_stolen{0};  // chunks run off-home
-
-  // Execution-planner counters (grb/plan.hpp): how many plans were built
-  // fresh vs served from a snapshot's memo, how often a Config override or
-  // caller hint outranked the cost model, the per-decision outcome mix, and
-  // how many operand conversions the planner explicitly requested (the
-  // formerly-silent hypersparse→CSR expansions among them).
-  std::atomic<std::uint64_t> plans_built{0};          // cost model evaluated
-  std::atomic<std::uint64_t> plans_cached{0};         // served from a PlanCache
-  std::atomic<std::uint64_t> plans_overridden{0};     // hint/override decided
-  std::atomic<std::uint64_t> plan_push_decisions{0};  // plans choosing push
-  std::atomic<std::uint64_t> plan_pull_decisions{0};  // plans choosing pull
-  std::atomic<std::uint64_t> format_conversions{0};   // planner-driven converts
-  std::atomic<std::uint64_t> fused_dispatches{0};     // fused kernel chosen
-  std::atomic<std::uint64_t> calibration_updates{0};  // EWMA coefficient folds
-
-  // Ingest counters (lagraph::ingest): the streaming write path. Edges
-  // counts individual mutation commands accepted; batches counts writer
-  // drains; epochs counts snapshot publications; reclaimed counts retired
-  // snapshots whose grace period expired with no readers pinning them.
-  std::atomic<std::uint64_t> edges_ingested{0};       // mutation cmds accepted
-  std::atomic<std::uint64_t> ingest_batches{0};       // writer queue drains
-  std::atomic<std::uint64_t> epochs_published{0};     // snapshots published
-  std::atomic<std::uint64_t> snapshots_reclaimed{0};  // retired after grace
+#define GRB_STATS_ATOMIC(name) std::atomic<std::uint64_t> name{0};
+  GRB_STATS_COUNTERS(GRB_STATS_ATOMIC)
+#undef GRB_STATS_ATOMIC
 
   /// Race-free value copy: every counter loaded exactly once (relaxed).
   /// The set is not a consistent cut across counters — increments land
@@ -250,37 +174,9 @@ struct Stats {
   /// concurrent readers (the service engine may be running) must use.
   [[nodiscard]] StatsSnapshot snapshot() const noexcept {
     StatsSnapshot s;
-    s.row_sorts = row_sorts.load(std::memory_order_relaxed);
-    s.eager_sorts = eager_sorts.load(std::memory_order_relaxed);
-    s.pending_flushes = pending_flushes.load(std::memory_order_relaxed);
-    s.format_switches = format_switches.load(std::memory_order_relaxed);
-    s.index_width_compressions =
-        index_width_compressions.load(std::memory_order_relaxed);
-    s.index_width_promotions =
-        index_width_promotions.load(std::memory_order_relaxed);
-    s.finalize_calls = finalize_calls.load(std::memory_order_relaxed);
-    s.snapshot_builds = snapshot_builds.load(std::memory_order_relaxed);
-    s.batched_queries = batched_queries.load(std::memory_order_relaxed);
-    s.solo_queries = solo_queries.load(std::memory_order_relaxed);
-    s.batch_sweeps = batch_sweeps.load(std::memory_order_relaxed);
-    s.push_calls = push_calls.load(std::memory_order_relaxed);
-    s.pull_calls = pull_calls.load(std::memory_order_relaxed);
-    s.parallel_regions = parallel_regions.load(std::memory_order_relaxed);
-    s.work_items_stolen = work_items_stolen.load(std::memory_order_relaxed);
-    s.plans_built = plans_built.load(std::memory_order_relaxed);
-    s.plans_cached = plans_cached.load(std::memory_order_relaxed);
-    s.plans_overridden = plans_overridden.load(std::memory_order_relaxed);
-    s.plan_push_decisions = plan_push_decisions.load(std::memory_order_relaxed);
-    s.plan_pull_decisions = plan_pull_decisions.load(std::memory_order_relaxed);
-    s.format_conversions = format_conversions.load(std::memory_order_relaxed);
-    s.fused_dispatches = fused_dispatches.load(std::memory_order_relaxed);
-    s.calibration_updates =
-        calibration_updates.load(std::memory_order_relaxed);
-    s.edges_ingested = edges_ingested.load(std::memory_order_relaxed);
-    s.ingest_batches = ingest_batches.load(std::memory_order_relaxed);
-    s.epochs_published = epochs_published.load(std::memory_order_relaxed);
-    s.snapshots_reclaimed =
-        snapshots_reclaimed.load(std::memory_order_relaxed);
+#define GRB_STATS_LOAD(name) s.name = name.load(std::memory_order_relaxed);
+    GRB_STATS_COUNTERS(GRB_STATS_LOAD)
+#undef GRB_STATS_LOAD
     return s;
   }
 
@@ -291,33 +187,9 @@ struct Stats {
   /// workers (Engine::stop(), join benches) before calling; concurrent
   /// *readers* should use snapshot() and never reset().
   void reset() noexcept {
-    row_sorts = 0;
-    eager_sorts = 0;
-    pending_flushes = 0;
-    format_switches = 0;
-    index_width_compressions = 0;
-    index_width_promotions = 0;
-    finalize_calls = 0;
-    snapshot_builds = 0;
-    batched_queries = 0;
-    solo_queries = 0;
-    batch_sweeps = 0;
-    push_calls = 0;
-    pull_calls = 0;
-    parallel_regions = 0;
-    work_items_stolen = 0;
-    plans_built = 0;
-    plans_cached = 0;
-    plans_overridden = 0;
-    plan_push_decisions = 0;
-    plan_pull_decisions = 0;
-    format_conversions = 0;
-    fused_dispatches = 0;
-    calibration_updates = 0;
-    edges_ingested = 0;
-    ingest_batches = 0;
-    epochs_published = 0;
-    snapshots_reclaimed = 0;
+#define GRB_STATS_ZERO(name) name = 0;
+    GRB_STATS_COUNTERS(GRB_STATS_ZERO)
+#undef GRB_STATS_ZERO
   }
 };
 

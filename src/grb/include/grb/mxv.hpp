@@ -512,9 +512,9 @@ void stamp_frontier(const Vector<W> &w, Vector<PT> *copy, Vector<LT> *konst,
   if (konst != nullptr) konst->set_bitmap_nvals(ln);
 }
 
-/// Describe a fused op for the planner. `transpose_for_plan` encodes the
-/// product's direction in OpDesc terms (fused_mxv_apply is mxv-like: no
-/// transpose = pull dot, transpose = push scatter).
+/// Plan a fused entry point as the mxv/vxm product it wraps. `op` and
+/// `transpose_for_plan` encode the product's direction in OpDesc terms (mxv
+/// without transpose = pull dot, with transpose = push scatter).
 template <typename SR, typename AT, typename U, typename MaskT>
 plan::ExecPlan plan_fused_op(plan::OpKind op, const Matrix<AT> &a,
                              const Vector<U> &u, const MaskT &mask,
@@ -547,8 +547,8 @@ plan::ExecPlan plan_fused_op(plan::OpKind op, const Matrix<AT> &a,
 /// write_result step, one sweep stamps `stamp_copy⟨s(w)⟩ = w` and
 /// `stamp_const⟨s(w)⟩ = stamp_value` — the BFS parent and level updates —
 /// without two more kernel dispatches. Falls back to the exact unfused
-/// composition whenever the planner declines fusion or a fast-path
-/// precondition fails, so results are bit-identical by construction.
+/// composition whenever a fast-path precondition fails, so results are
+/// bit-identical by construction.
 template <typename W, typename MaskV, typename SR, typename AT, typename PT,
           typename LT>
 void fused_product_stamp(bool pull_form, Vector<W> &w,
@@ -569,14 +569,14 @@ void fused_product_stamp(bool pull_form, Vector<W> &w,
   // Direction in OpDesc terms: mxv is a pull dot unless transposed; vxm is a
   // push scatter unless transposed.
   const plan::ExecPlan pl =
-      plan_fused_op<SR>(plan::OpKind::fused_mxv_apply, a, u, mask, d, out_size,
+      plan_fused_op<SR>(plan::OpKind::mxv, a, u, mask, d, out_size,
                         pull_form == d.transpose_a);
 
-  // Beyond the cost model, the single-sweep path needs the assign fast-path
-  // preconditions: bitmap stamp targets and a product the output can adopt
-  // verbatim (same value type — guaranteed by the signature — and either
-  // replace semantics or an empty output).
-  bool fuse = pl.use_fused && std::is_same_v<W, Z> && !d.transpose_a &&
+  // The single-sweep path needs the assign fast-path preconditions: bitmap
+  // stamp targets and a product the output can adopt verbatim (same value
+  // type — guaranteed by the signature — and either replace semantics or an
+  // empty output).
+  bool fuse = std::is_same_v<W, Z> && !d.transpose_a &&
               (d.replace || w.nvals() == 0);
   if (stamp_copy != nullptr &&
       stamp_copy->format() != Vector<PT>::Format::bitmap) {
@@ -635,8 +635,8 @@ void fused_product_stamp(bool pull_form, Vector<W> &w,
 
 /// Fused masked pull product + stamps (one BFS level, pull direction):
 ///   w⟨mask,d⟩ = A ⊕.⊗ u;  stamp_copy⟨s(w)⟩ = w;  stamp_const⟨s(w)⟩ = value
-/// in one kernel sweep when the planner fuses (ExecPlan::use_fused), else
-/// the exact mxv + assign + assign chain. Pass nullptr to skip a stamp.
+/// in one kernel sweep when the fast-path preconditions hold, else the exact
+/// mxv + assign + assign chain. Pass nullptr to skip a stamp.
 template <typename W, typename MaskV, typename SR, typename AT, typename PT,
           typename LT>
 void fused_mxv_apply(Vector<W> &w, const Vector<MaskV> &mask, SR sr,

@@ -28,16 +28,14 @@
 // after ~out_size/frontier_nvals probes on average. kPullBias accounts for
 // the constant-factor cost of probing over sequential scatter.
 //
-// Plans are memoized per (op, shape-bucket) in a PlanCache; a
-// lagraph::service snapshot owns one and pre-warms it, and CacheScope
-// installs it thread-locally so kernels deep in a query reuse decisions
-// across a batch without any plumbing through template signatures.
+// make_plan() is a pure function of its OpDesc and Config: every call plans
+// from the operands in front of it, as each SuiteSparse kernel call does
+// (the per-call choice its burble reports, paper §VI-A). So explain output
+// and a span's predicted cost always describe the op that ran.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "grb/config.hpp"
 #include "grb/parallel.hpp"
@@ -48,9 +46,9 @@ namespace plan {
 
 /// Operation kinds the planner understands. `traversal` is the algorithm-
 /// level push/pull choice (BFS levels, BC sweeps, msbfs groups); the rest
-/// are the grb kernel entry points. The `fused_*` kinds are single-sweep
-/// compositions (masked mxv/vxm + stamp assigns, vxm + range select) the
-/// planner may dispatch instead of the op chain they replace.
+/// are the grb kernel entry points. The fused single-sweep entry points
+/// (grb::fused_mxv_apply, grb::vxm_select_range) plan as the mxv/vxm they
+/// wrap.
 enum class OpKind : std::uint8_t {
   mxv,
   vxm,
@@ -60,8 +58,6 @@ enum class OpKind : std::uint8_t {
   apply,
   reduce,
   traversal,
-  fused_mxv_apply,
-  fused_vxm_select,
 };
 
 enum class Direction : std::uint8_t { none, push, pull };
@@ -77,7 +73,6 @@ enum class Chosen : std::uint8_t {
   cost_model,       // the cost model's own pick
   config_override,  // Config::force_push / force_pull / force_format
   caller_hint,      // an Advanced-mode algorithm forced it
-  cached,           // served from a PlanCache
 };
 
 const char *name(OpKind k) noexcept;
@@ -124,14 +119,11 @@ struct ExecPlan {
   MatFormat mask_format = MatFormat::keep;
   VecFormat u_format = VecFormat::keep;
   VecFormat v_format = VecFormat::keep;
-  bool use_dot = false;    // mxm: dot kernel instead of Gustavson
-  bool use_fused = false;  // fused_* ops: single-sweep kernel vs op chain
-  int threads = 1;         // team-size cap from the PR-2 partitioner
+  bool use_dot = false;  // mxm: dot kernel instead of Gustavson
+  int threads = 1;       // team-size cap (team_size() below)
   Chosen chosen = Chosen::cost_model;
   double cost_push = 0.0;  // model estimates (0 when not applicable)
   double cost_pull = 0.0;
-  double cost_fused = 0.0;    // fused_* ops: one-sweep estimate
-  double cost_unfused = 0.0;  // fused_* ops: op-chain estimate
   OpDesc desc;  // the inputs the decision was made from (for explain)
 
   /// Human-readable decision record — `lagraph_cli explain` output.
@@ -142,9 +134,9 @@ struct ExecPlan {
   [[nodiscard]] std::string explain_line() const;
 };
 
-/// Build a plan for `d`: probe the thread-local PlanCache (if one is
-/// installed), apply caller hints and Config overrides, otherwise run the
-/// cost model. Bumps the Stats planner counters.
+/// Build a plan for `d`: apply caller hints and Config overrides, otherwise
+/// run the cost model. Depends on nothing but `d` and config(); bumps the
+/// Stats planner counters.
 ExecPlan make_plan(const OpDesc &d);
 
 /// Fixed per-call overhead in cost-model units, charged on every kernel
@@ -154,50 +146,6 @@ ExecPlan make_plan(const OpDesc &d);
 /// at that size. Both directions pay it, so large-frontier decisions are
 /// unchanged.
 inline constexpr double kCallOverheadUnits = 64.0;
-
-/// Fitted per-machine translation between cost-model units and wall time,
-/// one coefficient per traversal direction. Cost-model *decisions* compare
-/// unit counts against unit counts and never need these; they exist so
-/// `explain` and the trace calibration report can render model estimates in
-/// nanoseconds, and so repeated trace runs can measure model drift on this
-/// machine. Persisted as a small JSON file (Config::calibration_file) and
-/// updated online by service::Engine workers via an exponentially-weighted
-/// fit over recorded spans.
-struct Calibration {
-  double push_ns_per_unit = 0.0;  // 0 = not fitted yet
-  double pull_ns_per_unit = 0.0;
-  std::uint64_t samples = 0;        // spans folded into the fit
-  std::uint64_t fitted_at_epoch_s = 0;  // wall-clock seconds of last fit
-  std::string source;               // file it was loaded from, "" = in-memory
-  bool loaded = false;              // true once load/set succeeded
-};
-
-/// Load coefficients from a calibration file (the lagraph-calibration-v1
-/// JSON written by save_calibration / `lagraph_cli trace --calibration-out`).
-/// Returns false (and leaves the current state untouched) when the file is
-/// missing or malformed. Thread-safe.
-bool load_calibration(const std::string &path);
-
-/// Persist the current coefficients to `path`. Returns false on I/O error.
-bool save_calibration(const std::string &path);
-
-/// Value copy of the current coefficient state. Thread-safe.
-Calibration calibration_snapshot() noexcept;
-
-/// Install coefficients directly (used by the CLI after a trace fit and by
-/// tests). Thread-safe.
-void set_calibration(const Calibration &c) noexcept;
-
-/// Drop back to the unfitted state (tests).
-void reset_calibration() noexcept;
-
-/// Online update from one recorded span: fold `actual_ns / predicted_units`
-/// into the per-direction coefficient with an exponentially-weighted moving
-/// average (α = 0.05, so ~20 recent spans dominate). Called by the trace
-/// layer when Config::calibration_update_every is set; cheap enough for a
-/// kernel epilogue (two relaxed atomics). Bumps Stats::calibration_updates.
-void observe_span_ns(Direction dir, double predicted_units,
-                     std::uint64_t actual_ns) noexcept;
 
 /// Thread-team size for `total_work` units: the PR-2 gating rule
 /// (effective_threads() when the work clears kParallelGrain, else the
@@ -274,55 +222,6 @@ void prepare(const Vec &u, VecFormat f) {
       break;
   }
 }
-
-/// Per-snapshot plan memo, keyed by (op, shape-bucket). Shape buckets are
-/// log₂ ranges of the nnz-like inputs, so one BFS run populates a handful of
-/// entries that every later query with similar frontier densities reuses.
-/// Thread-safe; a snapshot shares one cache across all engine workers.
-class PlanCache {
- public:
-  bool lookup(std::uint64_t key, ExecPlan &out) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) return false;
-    out = it->second;
-    return true;
-  }
-
-  void insert(std::uint64_t key, const ExecPlan &p) {
-    std::lock_guard<std::mutex> lk(mu_);
-    map_.emplace(key, p);
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return map_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, ExecPlan> map_;
-};
-
-/// The cache make_plan consults on this thread (nullptr = plan fresh).
-PlanCache *active_cache() noexcept;
-
-/// RAII installer for a PlanCache: algorithms and service workers wrap query
-/// execution in a CacheScope so every kernel below them memoizes into the
-/// snapshot's cache — no cache parameter threads through the template API.
-class CacheScope {
- public:
-  explicit CacheScope(PlanCache *cache) noexcept;
-  ~CacheScope();
-  CacheScope(const CacheScope &) = delete;
-  CacheScope &operator=(const CacheScope &) = delete;
-
- private:
-  PlanCache *prev_;
-};
-
-/// Bucketed memo key for `d` (exposed for tests and pre-warming).
-std::uint64_t cache_key(const OpDesc &d) noexcept;
 
 }  // namespace plan
 }  // namespace grb

@@ -1,17 +1,12 @@
-// grb/plan.cpp — cost model, overrides, and memoization for the execution
-// planner. See plan.hpp for the model; this file is the only place a
-// push/pull threshold or format-switch constant lives.
+// grb/plan.cpp — cost model and overrides for the execution planner. See
+// plan.hpp for the model; this file is the only place a push/pull threshold
+// or format-switch constant lives.
 
 #include "grb/plan.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 namespace grb {
 namespace plan {
@@ -29,24 +24,6 @@ constexpr double kTcSkew = 4.0;
 
 /// GAP uses Δ = 2 on [1, 255]-weighted graphs; scale to the actual max.
 constexpr double kDeltaDivisor = 128.0;
-
-thread_local PlanCache *g_active_cache = nullptr;
-
-/// log₂ shape bucket: 0 for empty, else bit_width. Two sizes in the same
-/// bucket are within 2× of each other — close enough to share a decision.
-std::uint64_t bucket(Index x) noexcept {
-  return x == 0 ? 0 : std::bit_width(static_cast<std::uint64_t>(x));
-}
-
-struct KeyPacker {
-  std::uint64_t key = 0;
-  int used = 0;
-  void pack(std::uint64_t v, int bits) noexcept {
-    const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
-    key |= (std::min(v, mask) & mask) << used;
-    used += bits;
-  }
-};
 
 double mean_degree(const OpDesc &d) noexcept {
   return d.a_rows > 0
@@ -144,13 +121,8 @@ void decide_dot_operand(ExecPlan &p) {
 void plan_mxv_vxm(const OpDesc &d, ExecPlan &p) {
   // Direction is structural here: (vxm, no transpose) and (mxv, transpose)
   // scatter — push; the other two run dot products — pull. The planner's
-  // job is the probed operand's format and the team size. The fused kinds
-  // wrap one of these products (fused_mxv_apply an mxv-shaped masked dot or
-  // vxm-shaped scatter, fused_vxm_select an unmasked vxm) and inherit the
-  // same direction rule.
-  const bool vxm_like =
-      d.op == OpKind::vxm || d.op == OpKind::fused_vxm_select;
-  const bool push = vxm_like != d.transpose_a;
+  // job is the probed operand's format and the team size.
+  const bool push = (d.op == OpKind::vxm) != d.transpose_a;
   const double davg = mean_degree(d);
   const double bytes = width_byte_factor(d.a_width);
   p.cost_push = kCallOverheadUnits +
@@ -180,27 +152,6 @@ void plan_mxv_vxm(const OpDesc &d, ExecPlan &p) {
     decide_dot_operand(p);
     p.threads = team_size(static_cast<Index>(pull_units));
   }
-}
-
-/// Fused-kernel decision: price the one-sweep kernel against the op chain
-/// it replaces. Both share the product cost; the chain pays two extra
-/// dispatches (stamp assigns / range selects), each a full pass over the
-/// product's nnz plus per-call overhead, while the fused kernel folds the
-/// second pass into the product's epilogue.
-void plan_fused(const OpDesc &d, ExecPlan &p) {
-  plan_mxv_vxm(d, p);
-  const double davg = mean_degree(d);
-  const double product_cost =
-      p.direction == Direction::pull ? p.cost_pull : p.cost_push;
-  // Expected product nnz: frontier fan-out, capped by the output size.
-  const double t_est =
-      std::min(static_cast<double>(d.u_nvals) * std::max(1.0, davg),
-               static_cast<double>(std::max<Index>(d.out_size, 1)));
-  // Both catalogue entries replace two follow-up ops (parent+level stamps,
-  // ge+lt selects).
-  p.cost_fused = product_cost + t_est;
-  p.cost_unfused = product_cost + 2.0 * (kCallOverheadUnits + t_est);
-  p.use_fused = config().enable_fusion && p.cost_fused <= p.cost_unfused;
 }
 
 void plan_mxm(const OpDesc &d, ExecPlan &p) {
@@ -270,172 +221,7 @@ void plan_ewise(const OpDesc &d, ExecPlan &p) {
   p.threads = team_size(d.u_nvals + d.v_nvals);
 }
 
-/// Global calibration-coefficient state. Coefficients are racy-update
-/// atomics (they're statistics, not invariants); the source string and file
-/// I/O take a mutex. Decisions never read these — they only translate model
-/// units to nanoseconds for explain/trace output.
-struct CalState {
-  std::atomic<double> push_ns{0.0};
-  std::atomic<double> pull_ns{0.0};
-  std::atomic<std::uint64_t> samples{0};
-  std::atomic<std::uint64_t> fitted_at{0};
-  std::atomic<bool> loaded{false};
-  std::mutex mu;       // guards source + lazy-load bookkeeping
-  std::string source;
-  std::string attempted_path;  // last Config::calibration_file we tried
-};
-
-CalState &cal() {
-  static CalState c;
-  return c;
-}
-
-/// EWMA weight for online updates: ~20 recent spans dominate the fit.
-constexpr double kCalAlpha = 0.05;
-
-/// Extract `"key": <number>` from a one-object JSON blob. Hand-rolled like
-/// the bench/trace writers — no JSON library in the image.
-bool json_number(const std::string &text, const char *key, double &out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t i = text.find(':', at + needle.size());
-  if (i == std::string::npos) return false;
-  ++i;
-  while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
-  char *end = nullptr;
-  const double v = std::strtod(text.c_str() + i, &end);
-  if (end == text.c_str() + i) return false;
-  out = v;
-  return true;
-}
-
-/// Lazily load Config::calibration_file the first time a plan is built
-/// under it (or after the path changes). A failed attempt is remembered so
-/// a missing file costs one stat, not one per plan.
-void maybe_load_calibration() {
-  const std::string &path = config().calibration_file;
-  if (path.empty()) return;
-  {
-    std::lock_guard<std::mutex> lk(cal().mu);
-    if (cal().attempted_path == path) return;
-    cal().attempted_path = path;
-  }
-  load_calibration(path);
-}
-
 }  // namespace
-
-bool load_calibration(const std::string &path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  if (text.find("\"lagraph-calibration-v1\"") == std::string::npos)
-    return false;
-  double push_ns = 0.0, pull_ns = 0.0, samples = 0.0, fitted = 0.0;
-  if (!json_number(text, "push_ns_per_unit", push_ns) ||
-      !json_number(text, "pull_ns_per_unit", pull_ns))
-    return false;
-  if (push_ns < 0.0 || pull_ns < 0.0) return false;
-  json_number(text, "samples", samples);
-  json_number(text, "fitted_at_epoch_s", fitted);
-  CalState &c = cal();
-  c.push_ns.store(push_ns, std::memory_order_relaxed);
-  c.pull_ns.store(pull_ns, std::memory_order_relaxed);
-  c.samples.store(static_cast<std::uint64_t>(std::max(0.0, samples)),
-                  std::memory_order_relaxed);
-  c.fitted_at.store(static_cast<std::uint64_t>(std::max(0.0, fitted)),
-                    std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(c.mu);
-    c.source = path;
-    c.attempted_path = path;
-  }
-  c.loaded.store(true, std::memory_order_release);
-  return true;
-}
-
-bool save_calibration(const std::string &path) {
-  const Calibration c = calibration_snapshot();
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\n"
-                "  \"schema\": \"lagraph-calibration-v1\",\n"
-                "  \"push_ns_per_unit\": %.6g,\n"
-                "  \"pull_ns_per_unit\": %.6g,\n"
-                "  \"samples\": %" PRIu64 ",\n"
-                "  \"fitted_at_epoch_s\": %" PRIu64 "\n"
-                "}\n",
-                c.push_ns_per_unit, c.pull_ns_per_unit, c.samples,
-                c.fitted_at_epoch_s);
-  out << buf;
-  return static_cast<bool>(out);
-}
-
-Calibration calibration_snapshot() noexcept {
-  CalState &s = cal();
-  Calibration c;
-  c.push_ns_per_unit = s.push_ns.load(std::memory_order_relaxed);
-  c.pull_ns_per_unit = s.pull_ns.load(std::memory_order_relaxed);
-  c.samples = s.samples.load(std::memory_order_relaxed);
-  c.fitted_at_epoch_s = s.fitted_at.load(std::memory_order_relaxed);
-  c.loaded = s.loaded.load(std::memory_order_acquire);
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    c.source = s.source;
-  }
-  return c;
-}
-
-void set_calibration(const Calibration &c) noexcept {
-  CalState &s = cal();
-  s.push_ns.store(c.push_ns_per_unit, std::memory_order_relaxed);
-  s.pull_ns.store(c.pull_ns_per_unit, std::memory_order_relaxed);
-  s.samples.store(c.samples, std::memory_order_relaxed);
-  s.fitted_at.store(c.fitted_at_epoch_s, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.source = c.source;
-  }
-  s.loaded.store(true, std::memory_order_release);
-}
-
-void reset_calibration() noexcept {
-  CalState &s = cal();
-  s.push_ns.store(0.0, std::memory_order_relaxed);
-  s.pull_ns.store(0.0, std::memory_order_relaxed);
-  s.samples.store(0, std::memory_order_relaxed);
-  s.fitted_at.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.source.clear();
-    s.attempted_path.clear();
-  }
-  s.loaded.store(false, std::memory_order_release);
-}
-
-void observe_span_ns(Direction dir, double predicted_units,
-                     std::uint64_t actual_ns) noexcept {
-  if (predicted_units <= 0.0 || actual_ns == 0) return;
-  CalState &s = cal();
-  std::atomic<double> &coef =
-      dir == Direction::pull ? s.pull_ns : s.push_ns;
-  const double obs = static_cast<double>(actual_ns) / predicted_units;
-  const double cur = coef.load(std::memory_order_relaxed);
-  // First observation seeds the coefficient outright; after that, EWMA.
-  // The store may race another worker's — losing one fold is fine for a
-  // moving statistic, and no torn value is possible (atomic<double>).
-  const double next =
-      cur <= 0.0 ? obs : (1.0 - kCalAlpha) * cur + kCalAlpha * obs;
-  coef.store(next, std::memory_order_relaxed);
-  s.samples.fetch_add(1, std::memory_order_relaxed);
-  s.loaded.store(true, std::memory_order_release);
-  stats().calibration_updates.fetch_add(1, std::memory_order_relaxed);
-}
 
 const char *name(OpKind k) noexcept {
   switch (k) {
@@ -447,8 +233,6 @@ const char *name(OpKind k) noexcept {
     case OpKind::apply: return "apply";
     case OpKind::reduce: return "reduce";
     case OpKind::traversal: return "traversal";
-    case OpKind::fused_mxv_apply: return "fused_mxv_apply";
-    case OpKind::fused_vxm_select: return "fused_vxm_select";
   }
   return "?";
 }
@@ -485,71 +269,12 @@ const char *name(Chosen c) noexcept {
     case Chosen::cost_model: return "cost model";
     case Chosen::config_override: return "config override";
     case Chosen::caller_hint: return "caller hint";
-    case Chosen::cached: return "cached";
   }
   return "?";
 }
 
-std::uint64_t cache_key(const OpDesc &d) noexcept {
-  KeyPacker k;
-  k.pack(static_cast<std::uint64_t>(d.op), 4);
-  k.pack(bucket(d.a_nvals), 6);
-  // 5-bit buckets clamp ≥ 2^30 — plenty for these inputs; the freed bits
-  // carry the storage-width dimension below (the packer is budgeted at
-  // exactly 64 bits).
-  k.pack(bucket(d.u_nvals), 5);
-  k.pack(bucket(d.pull_candidates), 5);
-  k.pack(bucket(d.mask_nvals), 5);
-  k.pack(bucket(d.out_size), 5);
-  k.pack(bucket(d.v_nvals), 5);
-  k.pack(bucket(d.b_nvals), 5);
-  // Width is a plan dimension: a u32 snapshot and a u64 intermediate with
-  // the same shape must not share a byte-cost decision.
-  k.pack((d.a_width == IndexWidth::u32 ? 1u : 0u) |
-             (d.b_width == IndexWidth::u32 ? 2u : 0u),
-         2);
-  k.pack((d.masked ? 1u : 0u) | (d.mask_complement ? 2u : 0u) |
-             (d.mask_structural ? 4u : 0u) | (d.transpose_a ? 8u : 0u) |
-             (d.transpose_b ? 16u : 0u) | (d.has_terminal ? 32u : 0u) |
-             (d.operands_aliased ? 64u : 0u) | (d.has_transpose ? 128u : 0u),
-         8);
-  k.pack(static_cast<std::uint64_t>(d.hint), 2);
-  // Config knobs are part of the key: a cached decision must never outlive
-  // the overrides it was made under.
-  k.pack((config().force_push ? 1u : 0u) | (config().force_pull ? 2u : 0u) |
-             (bitmap_allowed() ? 4u : 0u) |
-             (config().enable_fusion ? 8u : 0u),
-         4);
-  k.pack(static_cast<std::uint64_t>(config().force_format), 2);
-  k.pack(static_cast<std::uint64_t>(config().force_index_width), 2);
-  k.pack(static_cast<std::uint64_t>(d.u_format + 1), 2);
-  k.pack(static_cast<std::uint64_t>(d.v_format + 1), 2);
-  return k.key;
-}
-
-PlanCache *active_cache() noexcept { return g_active_cache; }
-
-CacheScope::CacheScope(PlanCache *cache) noexcept : prev_(g_active_cache) {
-  g_active_cache = cache;
-}
-
-CacheScope::~CacheScope() { g_active_cache = prev_; }
-
 ExecPlan make_plan(const OpDesc &d) {
-  PlanCache *cache = g_active_cache;
-  std::uint64_t key = 0;
-  if (cache != nullptr) {
-    key = cache_key(d);
-    ExecPlan hit;
-    if (cache->lookup(key, hit)) {
-      stats().plans_cached.fetch_add(1, std::memory_order_relaxed);
-      hit.chosen = Chosen::cached;
-      return hit;
-    }
-  }
-
   stats().plans_built.fetch_add(1, std::memory_order_relaxed);
-  maybe_load_calibration();
   ExecPlan p;
   p.op = d.op;
   p.desc = d;
@@ -572,12 +297,7 @@ ExecPlan make_plan(const OpDesc &d) {
     case OpKind::traversal:
       decide_direction(d, p);
       break;
-    case OpKind::fused_mxv_apply:
-    case OpKind::fused_vxm_select:
-      plan_fused(d, p);
-      break;
   }
-  if (cache != nullptr) cache->insert(key, p);
   return p;
 }
 
@@ -601,14 +321,14 @@ std::string ExecPlan::explain_line() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "%s dir=%s (%s) A %" PRIu64 "x%" PRIu64 " nnz=%" PRIu64
-                " %s u=%" PRIu64 " t=%d cost push=%.0f pull=%.0f%s",
+                " %s u=%" PRIu64 " t=%d cost push=%.0f pull=%.0f",
                 name(op), name(direction), name(chosen),
                 static_cast<std::uint64_t>(desc.a_rows),
                 static_cast<std::uint64_t>(desc.a_cols),
                 static_cast<std::uint64_t>(desc.a_nvals),
                 index_width_name(desc.a_width),
                 static_cast<std::uint64_t>(desc.u_nvals), threads, cost_push,
-                cost_pull, use_fused ? " fused" : "");
+                cost_pull);
   return buf;
 }
 
@@ -655,28 +375,6 @@ std::string ExecPlan::explain() const {
                   "  model: push cost=%.0f edge scans, pull cost=%.0f probes"
                   " (bias %.1fx, call overhead %.0f)\n",
                   cost_push, cost_pull, kPullBias, kCallOverheadUnits);
-    out += buf;
-    const Calibration c = calibration_snapshot();
-    if (c.loaded && (c.push_ns_per_unit > 0.0 || c.pull_ns_per_unit > 0.0)) {
-      const double ns = direction == Direction::pull
-                            ? cost_pull * c.pull_ns_per_unit
-                            : cost_push * c.push_ns_per_unit;
-      std::snprintf(buf, sizeof(buf),
-                    "  calibrated: ~%.1f us for the chosen path"
-                    " (%.2f/%.2f ns per push/pull unit, %" PRIu64
-                    " samples%s%s)\n",
-                    ns / 1000.0, c.push_ns_per_unit, c.pull_ns_per_unit,
-                    c.samples, c.source.empty() ? "" : ", from ",
-                    c.source.c_str());
-      out += buf;
-    }
-  }
-  if (op == OpKind::fused_mxv_apply || op == OpKind::fused_vxm_select) {
-    std::snprintf(buf, sizeof(buf),
-                  "  fusion: %s (fused cost=%.0f vs unfused chain=%.0f%s)\n",
-                  use_fused ? "fused single sweep" : "unfused composition",
-                  cost_fused, cost_unfused,
-                  config().enable_fusion ? "" : ", disabled by config");
     out += buf;
   }
   std::snprintf(buf, sizeof(buf),

@@ -343,20 +343,6 @@ void ScopedSpan::end() noexcept {
   if (record_) {
     record(s_);
     op_histogram(s_.kind).record(s_.dur_ns);
-    // Online calibration feed (service::Engine workers): every Nth recorded
-    // kernel span folds its actual-vs-predicted ratio into the planner's
-    // per-direction ns/cost-unit coefficients. Iteration and query spans
-    // are skipped — their predictions cover whole op chains, not one
-    // kernel dispatch.
-    const std::uint32_t every = config().calibration_update_every;
-    if (every > 0 && s_.predicted_cost > 0.0 && !is_iteration(s_.kind) &&
-        s_.kind != SpanKind::query) {
-      thread_local std::uint32_t tick = 0;
-      if (tick++ % every == 0) {
-        plan::observe_span_ns(static_cast<plan::Direction>(s_.direction),
-                              s_.predicted_cost, s_.dur_ns);
-      }
-    }
   }
   if (burble_) narrate(s_);
 }

@@ -88,9 +88,9 @@ void bfs_engine(grb::Vector<std::int64_t> *level,
     lsp.set_plan(pl);
     // The product and the two frontier stamps — p⟨s(q)⟩ = q (parents) and
     // level⟨s(q)⟩ = depth+1 — go through the fused entry points: one kernel
-    // sweep when the planner fuses (ExecPlan::use_fused), the exact
-    // mxv/vxm + assign + assign composition otherwise. Stamping an empty
-    // frontier is a no-op, so the termination check can follow the call.
+    // sweep when the stamp targets are bitmaps, the exact mxv/vxm + assign +
+    // assign composition otherwise. Stamping an empty frontier is a no-op,
+    // so the termination check can follow the call.
     grb::Vector<std::int64_t> *lvp = level != nullptr ? &lv : nullptr;
     if (pl.direction == grb::plan::Direction::pull) {
       // q⟨¬s(p), r⟩ = Aᵀ any.secondi q

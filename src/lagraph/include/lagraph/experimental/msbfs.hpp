@@ -18,8 +18,7 @@
 //     overlapping frontiers are deduplicated for free. Each level picks
 //     push (iterate frontier vertices' out-edges) or pull (probe unseen
 //     vertices' in-edges via the cached transpose) through the same
-//     grb::plan traversal cost model as bfs_do, so service snapshots can
-//     pre-warm and reuse the per-level plans across batched queries.
+//     grb::plan traversal cost model as bfs_do, planned fresh per level.
 //
 // Useful for all-pairs-ish workloads (closeness centrality estimation,
 // graph diameter probes) and for serving many concurrent BFS queries.
@@ -157,8 +156,7 @@ int msbfs_core(const Graph<T> &g, std::span<const grb::Index> sources,
       lsp.set_in_nvals(active.size());
       touched.clear();
       // Same traversal plan as bfs_do, over the union frontier of the whole
-      // group. Snapshot plan caches make the per-level lookups O(1) across
-      // a batch of queries on the same graph.
+      // group.
       grb::plan::OpDesc od;
       od.op = grb::plan::OpKind::traversal;
       od.out_size = n;

@@ -56,19 +56,8 @@ class GraphSnapshot {
   /// Ingest epoch this snapshot was published at. Snapshots built outside
   /// the write path (make_snapshot) are epoch 0; the ingest Writer stamps
   /// each publication with its strictly increasing epoch counter, which
-  /// keys plan-cache scoping and registry reclamation. Two snapshots with
-  /// different epochs never share a plan cache.
+  /// keys registry reclamation.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-
-  /// Per-snapshot grb::plan memo. make_snapshot pre-warms it with traversal
-  /// plans across a sweep of frontier densities; workers install it (via
-  /// grb::plan::CacheScope) for the duration of each query so repeated
-  /// shape buckets across a batch hit the cache instead of re-running the
-  /// cost model. PlanCache is internally synchronized, hence mutable here:
-  /// inserting a memoized plan does not observably change the snapshot.
-  [[nodiscard]] grb::plan::PlanCache &plan_cache() const noexcept {
-    return plan_cache_;
-  }
 
  private:
   friend int make_snapshot(SnapshotPtr *out, Graph<double> &&g, char *msg);
@@ -79,7 +68,6 @@ class GraphSnapshot {
   Graph<double> g_;
   std::uint64_t id_ = 0;
   std::uint64_t epoch_ = 0;
-  mutable grb::plan::PlanCache plan_cache_;
 };
 
 /// Build a snapshot from a graph (ownership moves, LAGraph_New style): cache
@@ -93,7 +81,7 @@ int make_snapshot(SnapshotPtr *out, Graph<double> &&g, char *msg);
 /// recomputation of make_snapshot. Deferred work is still drained and every
 /// container frozen; properties the writer did not populate stay absent
 /// (query paths fall back, exactly as with a property-less make_snapshot
-/// graph). The fresh per-snapshot plan cache is pre-warmed the same way.
+/// graph).
 int publish_snapshot(SnapshotPtr *out, Graph<double> &&g, std::uint64_t epoch,
                      char *msg);
 

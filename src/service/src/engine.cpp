@@ -42,8 +42,7 @@ constexpr std::size_t kSlowLogTopSpans = 5;
 
 /// The representative plan one-liner a request's roll-up carries: the
 /// planner decision for the query's dominant op shape against its bound
-/// snapshot. Cheap (a cache probe under an installed CacheScope, a pure
-/// cost-model run otherwise).
+/// snapshot. Cheap: one cost-model run.
 std::string plan_summary_for(const Request &req, const GraphSnapshot &snap) {
   const Graph<double> &g = snap.graph();
   if (req.kind == QueryKind::cypher) {
@@ -119,15 +118,6 @@ Engine::Engine(SnapshotPtr snapshot, EngineConfig cfg)
   cfg_.threads = std::max(1, cfg_.threads);
   cfg_.max_batch = std::max<std::uint32_t>(1, cfg_.max_batch);
   slow_log_.open(cfg_.slow_query_log);
-  if (cfg_.calibration_update_every > 0) {
-    // Online cost-model calibration: workers' traced spans feed the fitted
-    // ns/cost-unit coefficients. Span recording is a prerequisite — turn on
-    // a sparse sampling rate if the process runs with tracing off.
-    grb::config().calibration_update_every = cfg_.calibration_update_every;
-    if (grb::config().trace_sample_every == 0) {
-      grb::config().trace_sample_every = 64;
-    }
-  }
   // Optimistic start: assume lingering pays until the workload proves
   // otherwise, so bursts issued right after startup coalesce.
   ewma_batch_ = static_cast<double>(cfg_.max_batch);
@@ -262,10 +252,6 @@ std::string Engine::prometheus_text() const {
     gauge("lagraph_service_active_workers", "Workers executing right now",
           static_cast<double>(busy_workers_));
   }
-  gauge("lagraph_calibration_updates_total",
-        "Online cost-model calibration updates",
-        static_cast<double>(grb::stats().calibration_updates.load(
-            std::memory_order_relaxed)));
 
   for (int i = 0; i < kNumQueryKinds; ++i) {
     const std::string labels = grb::trace::prometheus_label(
@@ -527,9 +513,6 @@ void Engine::run_bfs_sweep(std::vector<Pending> batch) {
                                   static_cast<std::uint32_t>(batch.size()));
   grb::trace::ScopedSpan qsp(grb::trace::SpanKind::query);
   qsp.set_in_nvals(batch.size());
-  // Route every grb::plan lookup in this batch through the snapshot's
-  // pre-warmed cache (one batch = one snapshot; demux checked that).
-  grb::plan::CacheScope plan_scope(&batch.front().snap->plan_cache());
   std::vector<grb::Index> sources;
   sources.reserve(batch.size());
   for (const auto &p : batch) sources.push_back(p.req.source);
@@ -590,7 +573,6 @@ void Engine::run_solo(Pending p) {
   grb::trace::RequestScope rscope(p.id, 1);
   grb::trace::ScopedSpan qsp(grb::trace::SpanKind::query);
   qsp.set_in_nvals(1);
-  grb::plan::CacheScope plan_scope(&p.snap->plan_cache());
   char msg[LAGRAPH_MSG_LEN];
   msg[0] = '\0';
 
@@ -646,7 +628,6 @@ void Engine::run_solo(Pending p) {
   if (r.status >= 0) observe(p.req.kind, r.queue_seconds, r.exec_seconds);
   if (r.status < 0) r.error = msg;
   const bool ok = r.status >= 0;
-  // Still inside the plan CacheScope: the summary probe is a cache hit.
   // Cypher requests already carry their compiled plan's one-liner.
   const std::string summary = (p.req.kind == QueryKind::cypher && !r.plan.empty())
                                   ? r.plan

@@ -11,35 +11,6 @@ namespace {
 
 std::atomic<std::uint64_t> next_id{1};
 
-// Pre-warm a fresh snapshot's plan cache: sweep frontier-size buckets of
-// the BFS/MS-BFS traversal shape so the first batch of queries starts
-// with memoized push/pull decisions instead of each worker paying the
-// cost-model walk per level. Buckets are log-spaced — exactly the
-// granularity of plan::cache_key — so a handful of probes covers every
-// level a real traversal can present.
-void prewarm_plan_cache(const Graph<double> &g, grb::plan::PlanCache *cache) {
-  grb::plan::CacheScope scope(cache);
-  const grb::Index n = g.a.nrows();
-  const bool has_at = g.transpose_view() != nullptr;
-  for (grb::Index nq = 1; nq > 0 && nq <= n; nq *= 4) {
-    grb::plan::OpDesc od;
-    od.op = grb::plan::OpKind::traversal;
-    od.out_size = n;
-    od.a_rows = n;
-    od.a_cols = g.a.ncols();
-    od.a_nvals = g.a.nvals();
-    od.u_nvals = nq;
-    od.pull_candidates = n > nq ? n - nq : grb::Index{0};
-    od.masked = true;
-    od.mask_complement = true;
-    od.mask_structural = true;
-    od.mask_nvals = nq;
-    od.has_terminal = true;
-    od.has_transpose = has_at;
-    (void)grb::plan::make_plan(od);
-  }
-}
-
 // Drain every deferred mutation (pending tuples, sort, format) and arm the
 // debug-mode tripwires: from here on, const access is genuinely read-only
 // (grb threading contract, matrix.hpp).
@@ -76,7 +47,6 @@ int make_snapshot(SnapshotPtr *out, Graph<double> &&g, char *msg) {
     auto snap = std::shared_ptr<GraphSnapshot>(new GraphSnapshot());
     snap->g_ = std::move(g);
     snap->id_ = next_id.fetch_add(1, std::memory_order_relaxed);
-    prewarm_plan_cache(snap->g_, &snap->plan_cache_);
 
     grb::stats().snapshot_builds.fetch_add(1, std::memory_order_relaxed);
     *out = std::move(snap);
@@ -105,7 +75,6 @@ int publish_snapshot(SnapshotPtr *out, Graph<double> &&g, std::uint64_t epoch,
     snap->g_ = std::move(g);
     snap->id_ = next_id.fetch_add(1, std::memory_order_relaxed);
     snap->epoch_ = epoch;
-    prewarm_plan_cache(snap->g_, &snap->plan_cache_);
 
     grb::stats().snapshot_builds.fetch_add(1, std::memory_order_relaxed);
     grb::stats().epochs_published.fetch_add(1, std::memory_order_relaxed);

@@ -2,8 +2,8 @@
 """EXPLAIN stability check for the query planner.
 
 Runs `lagraph_cli explain query '<pattern>' --gen kron 8` for a fixed set
-of patterns, normalizes away the machine-dependent lines (calibration
-coefficients, planner counters, elapsed wall time), and diffs the result
+of patterns, normalizes away the run-dependent lines (planner counters,
+elapsed wall time), and diffs the result
 against tests/golden/explain_query.golden. A planner change that alters
 step ordering, mask pushdown, CSE reuse, or estimates shows up as a
 readable text diff; regenerate intentionally with --update.
@@ -31,7 +31,7 @@ PATTERNS = [
 GRAPH_ARGS = ["--gen", "kron", "8"]
 
 # Lines whose content is machine- or run-dependent, dropped before diffing.
-VOLATILE_PREFIXES = ("calibration:", "planner counters:", "elapsed:")
+VOLATILE_PREFIXES = ("planner counters:", "elapsed:")
 
 
 def normalize(text):

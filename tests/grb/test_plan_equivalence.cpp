@@ -9,12 +9,10 @@
 // (num_threads = 1, force_format = sparse) on an Erdős–Rényi and a
 // power-law Kronecker graph. A push-only BFS level loop is compared against
 // the pull-forced one the same way, plus direct unit tests of the decision
-// precedence (caller hint > Config override > cost model) and the
-// PlanCache memo.
+// precedence (caller hint > Config override > cost model).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -519,135 +517,6 @@ TEST(PlanDecision, OverriddenCounterOnlyOnOutcomeChange) {
   grb::config().force_pull = true;  // disagrees: counts
   (void)grb::plan::make_plan(od);
   EXPECT_EQ(grb::stats().plans_overridden.load(), before + 1);
-}
-
-TEST(PlanCacheTest, MemoizesWithinScope) {
-  ConfigGuard guard;
-  ConfigGuard::restore({0, false, false, grb::ForceFormat::none});
-  grb::plan::PlanCache cache;
-  auto od = traversal_desc(4096, 64, 4032, true);
-
-  const auto hits_before = grb::stats().plans_cached.load();
-  {
-    grb::plan::CacheScope scope(&cache);
-    auto first = grb::plan::make_plan(od);
-    EXPECT_EQ(cache.size(), 1u);
-    auto second = grb::plan::make_plan(od);
-    EXPECT_EQ(second.direction, first.direction);
-    EXPECT_EQ(second.chosen, grb::plan::Chosen::cached);
-    EXPECT_EQ(grb::stats().plans_cached.load(), hits_before + 1);
-    // A different shape bucket misses.
-    auto od2 = traversal_desc(4096, 2048, 256, true);
-    (void)grb::plan::make_plan(od2);
-    EXPECT_EQ(cache.size(), 2u);
-  }
-  // Outside the scope nothing is cached.
-  EXPECT_EQ(grb::plan::active_cache(), nullptr);
-  const auto hits_after = grb::stats().plans_cached.load();
-  (void)grb::plan::make_plan(od);
-  EXPECT_EQ(grb::stats().plans_cached.load(), hits_after);
-}
-
-TEST(PlanCacheTest, ConfigKnobsPartitionTheKey) {
-  ConfigGuard guard;
-  ConfigGuard::restore({0, false, false, grb::ForceFormat::none});
-  auto od = traversal_desc(4096, 2048, 256, true);
-  const auto base_key = grb::plan::cache_key(od);
-  grb::config().force_push = true;
-  EXPECT_NE(grb::plan::cache_key(od), base_key)
-      << "a cached plan must not outlive the override it was made under";
-  grb::config().force_push = false;
-  grb::config().force_format = grb::ForceFormat::sparse;
-  EXPECT_NE(grb::plan::cache_key(od), base_key);
-}
-
-// ---- calibration: fitted coefficients are result-invisible --------------
-//
-// Calibration only translates cost-model units into nanoseconds for
-// explain/trace output; decisions compare units against units. Installing
-// wildly wrong coefficients must therefore change neither results nor the
-// planner's direction/dispatch choices.
-
-struct CalibrationReset {
-  CalibrationReset() { grb::plan::reset_calibration(); }
-  ~CalibrationReset() { grb::plan::reset_calibration(); }
-};
-
-TEST(PlanCalibration, CoefficientsNeverChangeResultsOrDirection) {
-  ConfigGuard guard;
-  CalibrationReset cal;
-  ConfigGuard::restore({0, false, false, grb::ForceFormat::none});
-
-  Matrix<double> a = make_graph(true, 8);
-  Matrix<double> at = grb::transposed(a);
-  at.finish();
-  auto ref_lv = bfs_levels(a, at, 0);
-  auto od = traversal_desc(4096, 2048, 256, true);
-  const auto ref_pl = grb::plan::make_plan(od);
-
-  const std::pair<double, double> extremes[] = {{1e6, 1e-3}, {1e-3, 1e6}};
-  for (const auto &[push_ns, pull_ns] : extremes) {
-    grb::plan::Calibration c;
-    c.push_ns_per_unit = push_ns;
-    c.pull_ns_per_unit = pull_ns;
-    c.samples = 1000;
-    c.loaded = true;
-    grb::plan::set_calibration(c);
-    auto got_lv = bfs_levels(a, at, 0);
-    expect_identical(ref_lv, got_lv, "bfs levels under extreme calibration");
-    const auto pl = grb::plan::make_plan(od);
-    EXPECT_EQ(pl.direction, ref_pl.direction);
-    EXPECT_EQ(pl.chosen, ref_pl.chosen);
-    EXPECT_EQ(pl.use_fused, ref_pl.use_fused);
-  }
-}
-
-TEST(PlanCalibration, RoundTripPersistence) {
-  CalibrationReset cal;
-  grb::plan::Calibration c;
-  c.push_ns_per_unit = 3.25;
-  c.pull_ns_per_unit = 7.5;
-  c.samples = 420;
-  c.fitted_at_epoch_s = 1700000000;
-  c.loaded = true;
-  grb::plan::set_calibration(c);
-
-  const std::string path =
-      ::testing::TempDir() + "lagraph_cal_roundtrip.json";
-  ASSERT_TRUE(grb::plan::save_calibration(path));
-  grb::plan::reset_calibration();
-  ASSERT_FALSE(grb::plan::calibration_snapshot().loaded);
-
-  ASSERT_TRUE(grb::plan::load_calibration(path));
-  const auto got = grb::plan::calibration_snapshot();
-  EXPECT_TRUE(got.loaded);
-  EXPECT_DOUBLE_EQ(got.push_ns_per_unit, 3.25);
-  EXPECT_DOUBLE_EQ(got.pull_ns_per_unit, 7.5);
-  EXPECT_EQ(got.samples, 420u);
-  EXPECT_EQ(got.fitted_at_epoch_s, 1700000000u);
-  EXPECT_EQ(got.source, path);
-  std::remove(path.c_str());
-}
-
-TEST(PlanCalibration, LoadRejectsMissingFile) {
-  CalibrationReset cal;
-  EXPECT_FALSE(
-      grb::plan::load_calibration("/nonexistent/dir/lagraph_cal.json"));
-  EXPECT_FALSE(grb::plan::calibration_snapshot().loaded);
-}
-
-TEST(PlanCalibration, ObserveSpanSeedsThenFoldsEwma) {
-  CalibrationReset cal;
-  const auto before = grb::stats().snapshot().calibration_updates;
-  grb::plan::observe_span_ns(grb::plan::Direction::push, 100.0, 200);
-  auto got = grb::plan::calibration_snapshot();
-  EXPECT_DOUBLE_EQ(got.push_ns_per_unit, 2.0);  // first sample seeds outright
-  EXPECT_DOUBLE_EQ(got.pull_ns_per_unit, 0.0);  // other direction untouched
-  grb::plan::observe_span_ns(grb::plan::Direction::push, 100.0, 400);
-  got = grb::plan::calibration_snapshot();
-  EXPECT_DOUBLE_EQ(got.push_ns_per_unit, 0.95 * 2.0 + 0.05 * 4.0);
-  EXPECT_EQ(got.samples, 2u);
-  EXPECT_EQ(grb::stats().snapshot().calibration_updates, before + 2);
 }
 
 TEST(PlanFormat, HypersparseRowptrRequiresExplicitPrepare) {

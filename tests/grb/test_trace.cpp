@@ -338,9 +338,9 @@ TEST(StatsSnapshot, MatchesLiveCountersAndVisitsAll) {
     }
   });
   EXPECT_TRUE(saw_push_calls);
-  // Every counter in grb::Stats must be visited; update for_each when
-  // adding one.
-  EXPECT_EQ(visited, 27);
+  // Every counter in grb::Stats must be visited (GRB_STATS_COUNTERS lists
+  // 26; update this count when adding one).
+  EXPECT_EQ(visited, 26);
   st.push_calls.fetch_sub(3, std::memory_order_relaxed);
 }
 

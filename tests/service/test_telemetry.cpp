@@ -5,6 +5,8 @@
 // 127.0.0.1 socket (/healthz, /metrics format lint, /statusz, /requestz).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -146,6 +148,87 @@ TEST(RequestTracing, BatchMembersShareTheSweepTraceId) {
     }
     EXPECT_GT(stamped, 0u) << "request " << r.request_id;
   }
+}
+
+TEST(RequestTracing, LevelSpanPredictsItsOwnLevel) {
+  // A level span's predicted cost must describe the level that ran: the
+  // plan a fresh make_plan builds for that level's frontier, never one
+  // built for another request's level of a similar size.
+  TraceGuard guard(1);
+  auto snap = make_kron_snapshot(8, 21);
+  EngineConfig cfg;
+  cfg.threads = 1;
+  cfg.enable_batching = false;  // one source per sweep: levels are exact
+  Engine engine(snap, cfg);
+
+  constexpr Index kSources = 16;
+  std::vector<std::future<QueryResult>> futs;
+  for (Index s = 0; s < kSources; ++s) {
+    futs.push_back(engine.submit(bfs_req(s)));
+  }
+  for (auto &f : futs) {
+    const QueryResult r = f.get();
+    ASSERT_EQ(r.status, LAGRAPH_OK) << r.error;
+  }
+  engine.stop();
+
+  // Group the level spans by request, in level order, so the visited count
+  // before each level can be rebuilt from the earlier levels' discoveries.
+  std::map<std::uint64_t, std::vector<grb::trace::Span>> levels_of;
+  for (const auto &s : grb::trace::collect()) {
+    if (s.kind == grb::trace::SpanKind::msbfs_level) {
+      levels_of[s.request_id].push_back(s);
+    }
+  }
+  ASSERT_EQ(levels_of.size(), kSources);
+
+  const lagraph::Graph<double> &g = snap->graph();
+  const Index n = g.nodes();
+  std::size_t push_levels = 0;
+  std::map<int, std::set<std::uint64_t>> push_frontiers_by_bucket;
+  for (auto &[id, levels] : levels_of) {
+    std::sort(levels.begin(), levels.end(),
+              [](const auto &x, const auto &y) { return x.iter < y.iter; });
+    Index nvisited = 1;  // the source
+    for (const auto &s : levels) {
+      // The traversal OpDesc exactly as msbfs_levels builds it.
+      grb::plan::OpDesc od;
+      od.op = grb::plan::OpKind::traversal;
+      od.out_size = n;
+      od.a_rows = g.a.nrows();
+      od.a_cols = g.a.ncols();
+      od.a_nvals = g.a.nvals();
+      od.u_nvals = s.in_nvals;
+      od.pull_candidates = n - nvisited;
+      od.masked = true;
+      od.mask_complement = true;
+      od.mask_structural = true;
+      od.mask_nvals = nvisited;
+      od.has_terminal = true;
+      od.has_transpose = g.transpose_view() != nullptr;
+      const auto fresh = grb::plan::make_plan(od);
+      EXPECT_EQ(s.direction, static_cast<std::uint8_t>(fresh.direction))
+          << "request " << id << " level " << s.iter;
+      const auto push = static_cast<std::uint8_t>(grb::plan::Direction::push);
+      if (s.direction == push) {
+        ++push_levels;
+        EXPECT_EQ(s.predicted_cost, fresh.cost_push)
+            << "request " << id << " level " << s.iter << " frontier "
+            << s.in_nvals;
+        push_frontiers_by_bucket[std::bit_width(s.in_nvals)].insert(
+            s.in_nvals);
+      }
+      nvisited += s.out_nvals;
+    }
+  }
+  EXPECT_GT(push_levels, 0u);
+  // The run must contain push frontiers of different sizes in one log2
+  // bucket, so a plan keyed by size bucket would be caught here.
+  bool bucket_shared = false;
+  for (const auto &[bucket, sizes] : push_frontiers_by_bucket) {
+    bucket_shared = bucket_shared || sizes.size() >= 2;
+  }
+  EXPECT_TRUE(bucket_shared);
 }
 
 TEST(SlowQueryLog, DeadlineMissEmitsExactlyOneRecord) {
