@@ -58,6 +58,7 @@ namespace {
 
 using lagraph::service::Engine;
 using lagraph::service::EngineConfig;
+using lagraph::service::EngineCounters;
 using lagraph::service::QueryKind;
 using lagraph::service::QueryResult;
 using lagraph::service::Request;
@@ -502,6 +503,8 @@ int main(int argc, char **argv) {
   }
   const auto sources = pick_sources(snap->nodes());
 
+  // The last trial's engine counters, read after best_of returns.
+  EngineCounters last;
   auto best_of = [&](const EngineConfig &cfg, const char *label) {
     double best = 1e30;
     std::size_t ok = 0;
@@ -511,6 +514,7 @@ int main(int argc, char **argv) {
       ok = batched = 0;
       best = std::min(best, run_burst(engine, sources, &ok, &batched));
       engine.stop();
+      last = engine.counters();
     }
     std::printf("%-8s %2d worker(s): %3zu ok (%3zu batched), best %.3fs "
                 "=> %8.1f queries/s\n",
@@ -535,11 +539,11 @@ int main(int argc, char **argv) {
   const double speedup = t_solo / t_batch;
   const auto &st = grb::stats();
   std::printf("grb stats: %llu batch sweeps, %llu batched queries, "
-              "%llu solo queries, %llu snapshot builds, "
-              "%llu finalize calls\n",
-              static_cast<unsigned long long>(st.batch_sweeps.load()),
-              static_cast<unsigned long long>(st.batched_queries.load()),
-              static_cast<unsigned long long>(st.solo_queries.load()),
+              "%llu solo queries (last batched engine), %llu snapshot "
+              "builds, %llu finalize calls\n",
+              static_cast<unsigned long long>(last.bfs_sweeps),
+              static_cast<unsigned long long>(last.batched_bfs),
+              static_cast<unsigned long long>(last.solo_queries),
               static_cast<unsigned long long>(st.snapshot_builds.load()),
               static_cast<unsigned long long>(st.finalize_calls.load()));
   std::printf("batched vs solo: %.2fx (target >= 3.0x) %s\n", speedup,

@@ -34,6 +34,10 @@
 #        -DLAGRAPH_SANITIZE=thread in a side build tree (BUILD_DIR-tsan)
 #        and run under the sanitizer — concurrent cypher traffic against a
 #        mutating ingest::Writer (SKIP_TSAN=1 skips),
+#   2b'''. an ASan leg: tests_service and tests_telemetry rebuilt with
+#        -DLAGRAPH_SANITIZE=address in a side build tree (BUILD_DIR-asan)
+#        and run under the sanitizer — the engine's request path (queue,
+#        roll-up ring, slow-query log, telemetry server),
 #   2c. an ingest smoke: lagraph_cli mutate streams a synthetic mixed
 #       mutation load through an ingest::Writer and check_graph-validates
 #       the final published snapshot,
@@ -161,6 +165,18 @@ else
   cmake --build "$TSAN_DIR" -j"$JOBS" --target tests_query_stress >/dev/null
   "$TSAN_DIR"/tests/query/tests_query_stress
 fi
+
+step "ASan request path: tests_service + tests_telemetry under -DLAGRAPH_SANITIZE=address"
+# Rebuilds the two service test binaries (plus their library closure; neither
+# links the differ) in a dedicated ASan tree and runs them: the submit /
+# execute / roll-up / slow-query / telemetry path with AddressSanitizer and
+# its leak check watching.
+ASAN_DIR="${BUILD_DIR}-asan"
+cmake -B "$ASAN_DIR" -S . -DLAGRAPH_SANITIZE=address >/dev/null
+cmake --build "$ASAN_DIR" -j"$JOBS" --target tests_service tests_telemetry \
+    >/dev/null
+"$ASAN_DIR"/tests/service/tests_service
+"$ASAN_DIR"/tests/service/tests_telemetry
 
 step "ingest smoke: lagraph_cli mutate --gen kron 10 --mutations 2048"
 # Streams a synthetic insert/upsert/delete mix through the epoch-publishing

@@ -108,12 +108,10 @@ inline Config &config() {
      merge pushes a container past the u32 limit. */                        \
   X(index_width_compressions)                                               \
   X(index_width_promotions)                                                 \
-  /* Service layer (lagraph::service): container freezes and batching. */   \
+  /* Service layer (lagraph::service): container freezes and snapshots.   \
+     Batching is counted by the engine itself (EngineCounters). */          \
   X(finalize_calls)  /* Matrix/Vector finalize() */                         \
   X(snapshot_builds) /* GraphSnapshot::build */                             \
-  X(batched_queries) /* queries merged into a batch */                      \
-  X(solo_queries)    /* queries run one-at-a-time */                        \
-  X(batch_sweeps)    /* msbfs sweeps issued */                              \
   /* Parallel kernels (grb/parallel.hpp): push/pull mix, OpenMP teams      \
      forked, and work chunks run off their round-robin home. */             \
   X(push_calls)        /* saxpy (vxm-style) kernels */                      \

@@ -361,8 +361,6 @@ void mxm(Matrix<W> &c, const MaskT &mask, Accum accum, SR sr,
   od.a_cols = a.ncols();
   od.a_nvals = a.nvals();
   od.b_nvals = b.nvals();
-  od.a_width = a.index_width();
-  od.b_width = b.index_width();
   od.transpose_b = d.transpose_b;
   od.has_terminal = SR::add_monoid::has_terminal;
   if constexpr (has_mask_v<MaskT>) {
@@ -434,8 +432,6 @@ S mxm_reduce_scalar(ReduceMonoid rm, const MaskT &mask, SR sr,
   od.a_cols = a.ncols();
   od.a_nvals = a.nvals();
   od.b_nvals = b.nvals();
-  od.a_width = a.index_width();
-  od.b_width = b.index_width();
   od.transpose_b = true;
   if constexpr (has_mask_v<MaskT>) {
     od.masked = true;

@@ -354,7 +354,6 @@ plan::ExecPlan plan_mxv_op(plan::OpKind op, const Matrix<AT> &a,
   od.a_rows = a.nrows();
   od.a_cols = a.ncols();
   od.a_nvals = a.nvals();
-  od.a_width = a.index_width();
   od.u_nvals = u.nvals();
   od.transpose_a = d.transpose_a;
   od.has_terminal = SR::add_monoid::has_terminal;
@@ -526,7 +525,6 @@ plan::ExecPlan plan_fused_op(plan::OpKind op, const Matrix<AT> &a,
   od.a_rows = a.nrows();
   od.a_cols = a.ncols();
   od.a_nvals = a.nvals();
-  od.a_width = a.index_width();
   od.u_nvals = u.nvals();
   od.transpose_a = transpose_for_plan;
   od.has_terminal = SR::add_monoid::has_terminal;

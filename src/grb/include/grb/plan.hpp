@@ -94,8 +94,6 @@ struct OpDesc {
   Index b_nvals = 0;     // second matrix operand (mxm)
   Index mask_nvals = 0;
   Index pull_candidates = 0;  // traversal: outputs a pull would compute
-  IndexWidth a_width = IndexWidth::u64;  // primary operand's storage width
-  IndexWidth b_width = IndexWidth::u64;  // second matrix operand (mxm)
   int u_format = -1;     // Vector<T>::Format as int, -1 when n/a
   int v_format = -1;
   bool masked = false;
@@ -128,10 +126,6 @@ struct ExecPlan {
 
   /// Human-readable decision record — `lagraph_cli explain` output.
   [[nodiscard]] std::string explain() const;
-
-  /// Compact one-line form of explain() — what per-request roll-ups and the
-  /// slow-query log carry as the "plan summary".
-  [[nodiscard]] std::string explain_line() const;
 };
 
 /// Build a plan for `d`: apply caller hints and Config overrides, otherwise

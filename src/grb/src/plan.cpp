@@ -31,15 +31,6 @@ double mean_degree(const OpDesc &d) noexcept {
              : 0.0;
 }
 
-/// Bytes-moved factor for an edge visit on operand width `w`. The model's
-/// units are edge visits; a visit streams one column index plus one 8-byte
-/// value, so u32 storage moves 12 bytes where u64 moves 16 — charge 0.75.
-/// Both directions of the same operand share the factor, so push/pull
-/// crossovers only shift where the constant call overhead matters.
-double width_byte_factor(IndexWidth w) noexcept {
-  return w == IndexWidth::u32 ? 0.75 : 1.0;
-}
-
 bool bitmap_allowed() noexcept {
   return config().bitmap_switch_density <= 1.0 &&
          config().force_format != ForceFormat::sparse;
@@ -56,9 +47,7 @@ bool bitmap_allowed() noexcept {
 /// both sides leaves large-frontier decisions untouched.
 void decide_direction(const OpDesc &d, ExecPlan &p) {
   const double davg = mean_degree(d);
-  const double bytes = width_byte_factor(d.a_width);
-  p.cost_push =
-      kCallOverheadUnits + static_cast<double>(d.u_nvals) * davg * bytes;
+  p.cost_push = kCallOverheadUnits + static_cast<double>(d.u_nvals) * davg;
   double probe = davg;
   if (d.has_terminal && d.u_nvals > 0) {
     // Terminal monoid (`any`): a dot product stops at the first frontier
@@ -66,9 +55,8 @@ void decide_direction(const OpDesc &d, ExecPlan &p) {
     probe = std::min(davg, static_cast<double>(d.out_size) /
                                static_cast<double>(d.u_nvals));
   }
-  p.cost_pull =
-      kCallOverheadUnits +
-      kPullBias * static_cast<double>(d.pull_candidates) * probe * bytes;
+  p.cost_pull = kCallOverheadUnits +
+                kPullBias * static_cast<double>(d.pull_candidates) * probe;
 
   const Direction model = (d.has_transpose && p.cost_pull < p.cost_push)
                               ? Direction::pull
@@ -124,9 +112,8 @@ void plan_mxv_vxm(const OpDesc &d, ExecPlan &p) {
   // job is the probed operand's format and the team size.
   const bool push = (d.op == OpKind::vxm) != d.transpose_a;
   const double davg = mean_degree(d);
-  const double bytes = width_byte_factor(d.a_width);
   p.cost_push = kCallOverheadUnits +
-                static_cast<double>(d.u_nvals) * std::max(1.0, davg) * bytes;
+                static_cast<double>(d.u_nvals) * std::max(1.0, davg);
   // Early-exit-aware pull cost (calibration bias #1): a masked dot kernel
   // computes only the mask's candidate outputs, and a terminal additive
   // monoid stops each dot at its first frontier hit. The old model charged
@@ -143,7 +130,7 @@ void plan_mxv_vxm(const OpDesc &d, ExecPlan &p) {
     }
     pull_units = candidates * probe;
   }
-  p.cost_pull = kCallOverheadUnits + pull_units * bytes;
+  p.cost_pull = kCallOverheadUnits + pull_units;
   if (push) {
     p.direction = Direction::push;
     p.threads = team_size(static_cast<Index>(p.cost_push));
@@ -317,21 +304,6 @@ double sssp_default_delta(double max_weight) noexcept {
   return std::max(1.0, max_weight / kDeltaDivisor);
 }
 
-std::string ExecPlan::explain_line() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%s dir=%s (%s) A %" PRIu64 "x%" PRIu64 " nnz=%" PRIu64
-                " %s u=%" PRIu64 " t=%d cost push=%.0f pull=%.0f",
-                name(op), name(direction), name(chosen),
-                static_cast<std::uint64_t>(desc.a_rows),
-                static_cast<std::uint64_t>(desc.a_cols),
-                static_cast<std::uint64_t>(desc.a_nvals),
-                index_width_name(desc.a_width),
-                static_cast<std::uint64_t>(desc.u_nvals), threads, cost_push,
-                cost_pull);
-  return buf;
-}
-
 std::string ExecPlan::explain() const {
   char buf[640];
   std::string out;
@@ -351,15 +323,6 @@ std::string ExecPlan::explain() const {
                       : 0.0,
       static_cast<std::uint64_t>(desc.u_nvals),
       static_cast<std::uint64_t>(desc.pull_candidates));
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  storage: A index width=%s (%zu B/index, %.2fx edge-scan"
-                " bytes)%s%s\n",
-                index_width_name(desc.a_width),
-                index_width_bytes(desc.a_width),
-                width_byte_factor(desc.a_width),
-                op == OpKind::mxm ? ", B index width=" : "",
-                op == OpKind::mxm ? index_width_name(desc.b_width) : "");
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "  mask: %s%s%s, add monoid %s, pull path %s, hint %s\n",

@@ -106,12 +106,13 @@ struct QueryPlan {
 
   /// Multi-line plan rendering for `lagraph_cli explain query`.
   [[nodiscard]] std::string explain(const Query &q) const;
-  /// One-line summary for RequestLog / slow-query records (≤ ~95 chars).
+  /// One-line summary (under 128 chars): the engine's QueryResult::plan,
+  /// which request-log and slow-query records carry.
   [[nodiscard]] std::string explain_line() const;
 };
 
 /// Compile `q` against `g` (shape + cached properties only — no kernel
-/// runs, so this is cheap enough for plan summaries and EXPLAIN).
+/// runs, so this is cheap enough for EXPLAIN).
 /// `optimize=false` yields the naive left-to-right baseline, which never
 /// takes the count chain.
 int compile(QueryPlan *out, const Query &q, const Graph<double> &g,

@@ -185,7 +185,7 @@ class Engine {
   /// (`grb_stats`). Readable live with bounded skew.
   [[nodiscard]] std::string prometheus_text() const;
 
-  /// Roll-ups of the last N completed requests (lock-free reads).
+  /// Roll-ups of the last N completed requests.
   [[nodiscard]] const RequestLog &request_log() const noexcept {
     return request_log_;
   }
@@ -225,11 +225,11 @@ class Engine {
   // Feed the per-kind latency histograms; lock-free (relaxed counters).
   void observe(QueryKind k, double queue_s, double exec_s) noexcept;
   // Roll up one finished request into the request log, and route it to the
-  // slow-query log when it blew the threshold or missed its deadline.
+  // slow-query log when it blew the threshold or missed its deadline. The
+  // record's plan is r.plan: the cypher plan that ran, or empty.
   void log_request(const Pending &p, const QueryResult &r,
                    std::chrono::steady_clock::time_point end,
-                   std::uint64_t span_count, std::uint64_t trace_id,
-                   const std::string &plan_summary);
+                   std::uint64_t span_count, std::uint64_t trace_id);
 
   static constexpr int kNumQueryKinds = 5;
   // Indexed by QueryKind; recordable from any worker without the lock.

@@ -2,27 +2,22 @@
 //
 // Two retention structures sit behind the telemetry endpoints:
 //
-//   RequestLog   a fixed-capacity lock-free ring of the last N completed
-//                requests' roll-ups (queue/exec/total wall time, span count,
-//                plan summary, snapshot epoch). Same seqlock-over-atomic-
-//                words design as the grb::trace span rings, so engine
-//                workers record without a lock and /statusz reads
-//                concurrently without tearing — but multi-writer: slots are
-//                claimed by CAS-ing the sequence word to BUSY, and a lapped
-//                writer that finds a newer record in its slot drops its own.
+//   RequestLog   a mutex-guarded ring of the last N completed requests'
+//                roll-ups (queue/exec/total wall time, span count, the plan
+//                that ran, snapshot epoch). Each request writes one record
+//                once, so a short critical section is all it needs. Its
+//                mutex is a leaf lock: the engine takes it while holding its
+//                own, and no code holding it calls into the engine.
 //
-//   SlowQueryLog a mutex-guarded JSONL sink (file I/O can't be lock-free
-//                and doesn't need to be — a request only reaches it by
+//   SlowQueryLog a mutex-guarded JSONL sink (a request only reaches it by
 //                blowing the latency threshold or missing its deadline)
 //                that also retains a short in-memory tail for /statusz.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -32,11 +27,8 @@
 namespace lagraph {
 namespace service {
 
-/// One completed (or failed) request's roll-up. Plain data with a bounded
-/// plan-summary buffer so it packs into a lock-free ring slot.
+/// One completed (or failed) request's roll-up.
 struct RequestRecord {
-  static constexpr std::size_t kPlanChars = 96;
-
   std::uint64_t request_id = 0;
   /// The id kernel spans were stamped with: equal to request_id for solo
   /// queries, the batch head's id for members of a merged MS-BFS sweep.
@@ -54,27 +46,20 @@ struct RequestRecord {
   double queue_s = 0;
   double exec_s = 0;
   double total_s = 0;
-  char plan[kPlanChars] = {0};  // ExecPlan::explain_line(), truncated
-
-  void set_plan(const std::string &s) noexcept {
-    const std::size_t n = s.size() < kPlanChars - 1 ? s.size() : kPlanChars - 1;
-    std::memcpy(plan, s.data(), n);
-    plan[n] = '\0';
-  }
+  /// The compiled cypher plan the request ran (QueryResult::plan); empty for
+  /// the other kinds and for requests that failed before compiling one.
+  std::string plan;
 };
 
-/// Lock-free ring of the last `capacity` RequestRecords. record() is
-/// wait-free except when two writers land on the same slot (capacity
-/// completions apart within one record write — the loser drops out);
-/// readers drop torn slots, mirroring grb::trace::collect().
+/// Ring of the last `capacity` RequestRecords, oldest overwritten first.
 class RequestLog {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
 
   explicit RequestLog(std::size_t capacity = kDefaultCapacity);
-  ~RequestLog();  // out-of-line: Slot is complete only in request_log.cpp
 
-  void record(const RequestRecord &rec) noexcept;
+  /// Keep `rec`, dropping the oldest record once the ring is full.
+  void record(RequestRecord rec);
 
   /// Newest-first roll-ups, at most `max_n`.
   [[nodiscard]] std::vector<RequestRecord> recent(std::size_t max_n) const;
@@ -82,20 +67,10 @@ class RequestLog {
   /// Look up one request by its id (linear scan over the retained window).
   bool find(std::uint64_t request_id, RequestRecord *out) const;
 
-  /// Requests ever recorded (monotonic).
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    return head_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
  private:
-  struct Slot;
-  bool read_slot(std::uint64_t id, RequestRecord *out) const;
-
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> head_{0};
+  mutable std::mutex mu_;
+  std::vector<RequestRecord> ring_;
+  std::uint64_t recorded_ = 0;  // records ever written; the next slot
 };
 
 /// One span's contribution to a slow request, ranked by self-time (span
@@ -110,14 +85,16 @@ struct SpanSelfTime {
 std::vector<SpanSelfTime> top_spans_by_self_time(
     std::vector<grb::trace::Span> spans, std::size_t k);
 
-/// Render one slow-query JSONL record: the full roll-up plus `top` spans.
+/// Render one roll-up as a JSON object — the /statusz and /requestz form.
 /// `kind_name` is the query kind's text form (request_log is layered below
 /// engine.hpp, so the caller supplies it).
+std::string request_record_json(const RequestRecord &rec,
+                                const char *kind_name);
+
+/// Render one slow-query JSONL record: request_record_json()'s object plus
+/// its `top` spans.
 std::string slow_query_json(const RequestRecord &rec, const char *kind_name,
                             const std::vector<SpanSelfTime> &top);
-
-/// JSON string escaping (also used by the /statusz builder).
-std::string json_escape(const std::string &s);
 
 /// Threshold/deadline-triggered JSONL sink with an in-memory tail.
 class SlowQueryLog {

@@ -2,7 +2,9 @@
 //
 // A deliberately minimal HTTP/1.0 server: one dedicated thread blocks in
 // poll() on the listening socket (plus a self-pipe for shutdown), accepts
-// one connection at a time, answers, closes. No dependencies beyond POSIX
+// one connection at a time, answers, closes. Each connection's reads and
+// writes time out after a fixed 2 s, so a stalled client is dropped rather
+// than holding the thread (and stop()). No dependencies beyond POSIX
 // sockets; no keep-alive, no TLS, no request bodies — it serves four
 // read-only debug endpoints and nothing else:
 //
@@ -13,7 +15,9 @@
 //   /statusz       JSON: counters, gauges, per-kind latency summary,
 //                  recent request roll-ups, slow-query tail.
 //   /requestz?id=  one request's kernel-span breakdown as Chrome
-//                  trace-event JSON (requires span tracing to be sampling).
+//                  trace-event JSON (requires span tracing to be sampling);
+//                  a query string other than id=<decimal digits> is a
+//                  400.
 //
 // Binds 127.0.0.1 only — this is a debug endpoint, not a public API.
 #pragma once

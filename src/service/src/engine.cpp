@@ -3,12 +3,15 @@
 // Locking discipline: mu_ guards the queue, the current snapshot pointer,
 // the counters, and the batching EWMA. Workers hold it only while popping /
 // scooping / bookkeeping — never while a query kernel runs. Promises are
-// fulfilled outside the lock except for submit-time rejections.
+// fulfilled outside the lock except for submit-time rejections and
+// requests that expire in the queue: fail_locked() rolls those up under
+// mu_, taking the request log's leaf mutex and, on a deadline miss,
+// appending to the slow-query log.
 
 #include "service/engine.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdio>
 #include <sstream>
 
 #include "query/query.hpp"
@@ -39,61 +42,6 @@ constexpr double kLingerThreshold = 1.5;
 
 // Slow-query records carry the top spans ranked by self-time.
 constexpr std::size_t kSlowLogTopSpans = 5;
-
-/// The representative plan one-liner a request's roll-up carries: the
-/// planner decision for the query's dominant op shape against its bound
-/// snapshot. Cheap: one cost-model run.
-std::string plan_summary_for(const Request &req, const GraphSnapshot &snap) {
-  const Graph<double> &g = snap.graph();
-  if (req.kind == QueryKind::cypher) {
-    // The cypher plan summary is the multi-op optimizer's own one-liner
-    // (parse + compile are pure planning — no kernels run).
-    query::Query q;
-    query::QueryPlan plan;
-    if (query::parse(&q, req.query, nullptr) != LAGRAPH_OK ||
-        query::compile(&plan, q, g, /*optimize=*/true, nullptr) !=
-            LAGRAPH_OK) {
-      return "cypher[invalid]";
-    }
-    return plan.explain_line();
-  }
-  grb::plan::OpDesc d;
-  const grb::Index n = g.a.nrows();
-  d.a_rows = n;
-  d.a_cols = g.a.ncols();
-  d.a_nvals = g.a.nvals();
-  d.a_width = g.a.index_width();
-  d.out_size = n;
-  switch (req.kind) {
-    case QueryKind::bfs:
-    case QueryKind::sssp:
-      d.op = grb::plan::OpKind::traversal;
-      d.u_nvals = 1;
-      d.pull_candidates = n;
-      d.has_transpose = g.at.has_value();
-      d.has_terminal = true;
-      d.masked = true;
-      d.mask_structural = true;
-      d.mask_complement = true;
-      break;
-    case QueryKind::pagerank:
-      d.op = grb::plan::OpKind::mxv;
-      d.u_nvals = n;
-      break;
-    case QueryKind::tc:
-      d.op = grb::plan::OpKind::mxm;
-      d.b_nvals = d.a_nvals;
-      d.b_width = d.a_width;
-      d.masked = true;
-      d.mask_structural = true;
-      d.mask_nvals = d.a_nvals;
-      d.operands_aliased = true;
-      break;
-    case QueryKind::cypher:
-      break;  // handled above
-  }
-  return grb::plan::make_plan(d).explain_line();
-}
 
 }  // namespace
 
@@ -359,16 +307,15 @@ void Engine::fail_locked(Pending &&p, int status, const char *what) {
   r.queue_seconds = seconds_between(p.enqueued, now);
   // A deadline-expired request still gets a roll-up (and, since by
   // definition it missed its deadline, a slow-query record) — that's the
-  // request a tail-latency investigation most wants to see.
-  log_request(p, r, now, /*span_count=*/0, /*trace_id=*/0,
-              p.snap ? plan_summary_for(p.req, *p.snap) : std::string());
+  // request a tail-latency investigation most wants to see. Nothing ran, so
+  // it records no plan.
+  log_request(p, r, now, /*span_count=*/0, /*trace_id=*/0);
   p.promise.set_value(std::move(r));
 }
 
 void Engine::log_request(const Pending &p, const QueryResult &r,
                          Clock::time_point end, std::uint64_t span_count,
-                         std::uint64_t trace_id,
-                         const std::string &plan_summary) {
+                         std::uint64_t trace_id) {
   RequestRecord rec;
   rec.request_id = p.id;
   rec.trace_id = trace_id;
@@ -385,11 +332,11 @@ void Engine::log_request(const Pending &p, const QueryResult &r,
   rec.queue_s = r.queue_seconds;
   rec.exec_s = r.exec_seconds;
   rec.total_s = seconds_between(p.enqueued, end);
-  rec.set_plan(plan_summary);
-  request_log_.record(rec);
+  rec.plan = r.plan;
 
   const bool over_threshold =
       cfg_.slow_query_ms > 0 && rec.total_s * 1e3 > cfg_.slow_query_ms;
+  std::string slow_line;
   if (over_threshold || rec.deadline_missed) {
     // Top-k spans by self-time — only the spans this request stamped, and
     // only when tracing was actually sampling (collect() is empty
@@ -404,10 +351,12 @@ void Engine::log_request(const Pending &p, const QueryResult &r,
         }
       }
     }
-    slow_log_.emit(slow_query_json(
+    slow_line = slow_query_json(
         rec, query_kind_name(p.req.kind),
-        top_spans_by_self_time(std::move(mine), kSlowLogTopSpans)));
+        top_spans_by_self_time(std::move(mine), kSlowLogTopSpans));
   }
+  request_log_.record(std::move(rec));
+  if (!slow_line.empty()) slow_log_.emit(slow_line);
 }
 
 void Engine::scoop_bfs_locked(std::vector<Pending> &batch) {
@@ -475,13 +424,9 @@ void Engine::worker_loop() {
       ++counters_.bfs_sweeps;
       if (batch.size() >= 2) {
         counters_.batched_bfs += batch.size();
-        grb::stats().batched_queries.fetch_add(batch.size(),
-                                               std::memory_order_relaxed);
       } else {
         ++counters_.solo_queries;
-        grb::stats().solo_queries.fetch_add(1, std::memory_order_relaxed);
       }
-      grb::stats().batch_sweeps.fetch_add(1, std::memory_order_relaxed);
       const auto count = batch.size();
       ++busy_workers_;
       lk.unlock();
@@ -492,7 +437,6 @@ void Engine::worker_loop() {
       cv_idle_.notify_all();
     } else {
       ++counters_.solo_queries;
-      grb::stats().solo_queries.fetch_add(1, std::memory_order_relaxed);
       ++busy_workers_;
       lk.unlock();
       run_solo(std::move(p));
@@ -525,8 +469,6 @@ void Engine::run_bfs_sweep(std::vector<Pending> batch) {
 
   const auto width = static_cast<std::uint32_t>(batch.size());
   const std::uint64_t sweep_spans = rscope.spans_recorded();
-  const std::string summary =
-      plan_summary_for(batch.front().req, *batch.front().snap);
   std::vector<QueryResult> results;
   results.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -562,8 +504,7 @@ void Engine::run_bfs_sweep(std::vector<Pending> batch) {
     // Roll up before set_value so a waiter that sees its future ready can
     // already find the record at /statusz and /requestz. Members share the
     // sweep's span count and trace id.
-    log_request(batch[i], results[i], end, sweep_spans, batch.front().id,
-                summary);
+    log_request(batch[i], results[i], end, sweep_spans, batch.front().id);
     batch[i].promise.set_value(std::move(results[i]));
   }
 }
@@ -628,10 +569,6 @@ void Engine::run_solo(Pending p) {
   if (r.status >= 0) observe(p.req.kind, r.queue_seconds, r.exec_seconds);
   if (r.status < 0) r.error = msg;
   const bool ok = r.status >= 0;
-  // Cypher requests already carry their compiled plan's one-liner.
-  const std::string summary = (p.req.kind == QueryKind::cypher && !r.plan.empty())
-                                  ? r.plan
-                                  : plan_summary_for(p.req, *p.snap);
   {
     // Count before set_value so waiters never see a ready future ahead of
     // the completion counters.
@@ -642,7 +579,7 @@ void Engine::run_solo(Pending p) {
       ++counters_.failed;
     }
   }
-  log_request(p, r, end, rscope.spans_recorded(), p.id, summary);
+  log_request(p, r, end, rscope.spans_recorded(), p.id);
   p.promise.set_value(std::move(r));
 }
 

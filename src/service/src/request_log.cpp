@@ -5,150 +5,40 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 namespace lagraph {
 namespace service {
 
-namespace {
-
-constexpr std::uint64_t kBusy = ~std::uint64_t{0};
-constexpr std::size_t kPlanWords = RequestRecord::kPlanChars / 8;
-
-std::uint64_t dbits(double d) noexcept {
-  std::uint64_t u;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-double bits2d(std::uint64_t u) noexcept {
-  double d;
-  std::memcpy(&d, &u, sizeof(d));
-  return d;
-}
-
-std::uint64_t pack_meta(const RequestRecord &r) noexcept {
-  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(r.status)) |
-         (static_cast<std::uint64_t>(r.kind) << 32) |
-         (static_cast<std::uint64_t>(r.batch_size) << 40) |
-         (static_cast<std::uint64_t>(r.batched ? 1 : 0) << 56) |
-         (static_cast<std::uint64_t>(r.deadline_missed ? 1 : 0) << 57);
-}
-
-void unpack_meta(std::uint64_t m, RequestRecord &r) noexcept {
-  r.status = static_cast<std::int32_t>(static_cast<std::uint32_t>(m));
-  r.kind = static_cast<std::uint8_t>((m >> 32) & 0xFF);
-  r.batch_size = static_cast<std::uint16_t>((m >> 40) & 0xFFFF);
-  r.batched = ((m >> 56) & 1) != 0;
-  r.deadline_missed = ((m >> 57) & 1) != 0;
-}
-
-}  // namespace
-
-/// Seqlock slot: payload words are themselves atomics (like the grb::trace
-/// span rings), so concurrent readers are data-race-free by construction.
-struct RequestLog::Slot {
-  std::atomic<std::uint64_t> seq{0};  // 0 = never written, kBusy = mid-write
-  std::atomic<std::uint64_t> req{0};
-  std::atomic<std::uint64_t> trace{0};
-  std::atomic<std::uint64_t> snap{0};
-  std::atomic<std::uint64_t> epoch{0};
-  std::atomic<std::uint64_t> spans{0};
-  std::atomic<std::uint64_t> source{0};
-  std::atomic<std::uint64_t> end{0};
-  std::atomic<std::uint64_t> meta{0};
-  std::atomic<std::uint64_t> queue{0};  // double bits
-  std::atomic<std::uint64_t> exec{0};   // double bits
-  std::atomic<std::uint64_t> total{0};  // double bits
-  std::atomic<std::uint64_t> plan[kPlanWords]{};
-};
-
 RequestLog::RequestLog(std::size_t capacity)
-    : capacity_(capacity == 0 ? kDefaultCapacity : capacity),
-      slots_(new Slot[capacity_]) {}
+    : ring_(capacity == 0 ? kDefaultCapacity : capacity) {}
 
-RequestLog::~RequestLog() = default;
-
-void RequestLog::record(const RequestRecord &rec) noexcept {
-  const std::uint64_t id = head_.fetch_add(1, std::memory_order_acq_rel);
-  Slot &slot = slots_[id % capacity_];
-
-  // Claim the slot. Another writer mid-write here means two completions
-  // landed `capacity_` apart inside one record write; the one carrying the
-  // older id yields so the newer roll-up survives.
-  std::uint64_t cur = slot.seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if (cur == kBusy) {
-      cur = slot.seq.load(std::memory_order_relaxed);
-      continue;
-    }
-    if (cur > id + 1) return;  // lapped: a newer record already owns it
-    if (slot.seq.compare_exchange_weak(cur, kBusy, std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-      break;
-    }
-  }
-
-  slot.req.store(rec.request_id, std::memory_order_relaxed);
-  slot.trace.store(rec.trace_id, std::memory_order_relaxed);
-  slot.snap.store(rec.snapshot_id, std::memory_order_relaxed);
-  slot.epoch.store(rec.epoch, std::memory_order_relaxed);
-  slot.spans.store(rec.span_count, std::memory_order_relaxed);
-  slot.source.store(rec.source, std::memory_order_relaxed);
-  slot.end.store(rec.end_ns, std::memory_order_relaxed);
-  slot.meta.store(pack_meta(rec), std::memory_order_relaxed);
-  slot.queue.store(dbits(rec.queue_s), std::memory_order_relaxed);
-  slot.exec.store(dbits(rec.exec_s), std::memory_order_relaxed);
-  slot.total.store(dbits(rec.total_s), std::memory_order_relaxed);
-  for (std::size_t w = 0; w < kPlanWords; ++w) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, rec.plan + w * 8, 8);
-    slot.plan[w].store(word, std::memory_order_relaxed);
-  }
-  slot.seq.store(id + 1, std::memory_order_release);
-}
-
-bool RequestLog::read_slot(std::uint64_t id, RequestRecord *out) const {
-  const Slot &slot = slots_[id % capacity_];
-  if (slot.seq.load(std::memory_order_acquire) != id + 1) return false;
-  RequestRecord r;
-  r.request_id = slot.req.load(std::memory_order_relaxed);
-  r.trace_id = slot.trace.load(std::memory_order_relaxed);
-  r.snapshot_id = slot.snap.load(std::memory_order_relaxed);
-  r.epoch = slot.epoch.load(std::memory_order_relaxed);
-  r.span_count = slot.spans.load(std::memory_order_relaxed);
-  r.source = slot.source.load(std::memory_order_relaxed);
-  r.end_ns = slot.end.load(std::memory_order_relaxed);
-  unpack_meta(slot.meta.load(std::memory_order_relaxed), r);
-  r.queue_s = bits2d(slot.queue.load(std::memory_order_relaxed));
-  r.exec_s = bits2d(slot.exec.load(std::memory_order_relaxed));
-  r.total_s = bits2d(slot.total.load(std::memory_order_relaxed));
-  for (std::size_t w = 0; w < kPlanWords; ++w) {
-    const std::uint64_t word = slot.plan[w].load(std::memory_order_relaxed);
-    std::memcpy(r.plan + w * 8, &word, 8);
-  }
-  r.plan[RequestRecord::kPlanChars - 1] = '\0';
-  if (slot.seq.load(std::memory_order_acquire) != id + 1) return false;
-  *out = r;
-  return true;
+void RequestLog::record(RequestRecord rec) {
+  std::lock_guard<std::mutex> lk(mu_);
+  // Swap rather than assign: the overwritten record leaves with `rec`, so
+  // its plan string is freed after the lock is released.
+  std::swap(ring_[recorded_ % ring_.size()], rec);
+  ++recorded_;
 }
 
 std::vector<RequestRecord> RequestLog::recent(std::size_t max_n) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  const std::uint64_t n = std::min<std::uint64_t>(
+      {recorded_, ring_.size(), static_cast<std::uint64_t>(max_n)});
   std::vector<RequestRecord> out;
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t lo = head > capacity_ ? head - capacity_ : 0;
-  for (std::uint64_t id = head; id > lo && out.size() < max_n; --id) {
-    RequestRecord r;
-    if (read_slot(id - 1, &r)) out.push_back(r);
+  out.reserve(n);
+  for (std::uint64_t k = 1; k <= n; ++k) {
+    out.push_back(ring_[(recorded_ - k) % ring_.size()]);
   }
   return out;
 }
 
 bool RequestLog::find(std::uint64_t request_id, RequestRecord *out) const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t lo = head > capacity_ ? head - capacity_ : 0;
-  for (std::uint64_t id = head; id > lo; --id) {
-    RequestRecord r;
-    if (read_slot(id - 1, &r) && r.request_id == request_id) {
+  std::lock_guard<std::mutex> lk(mu_);
+  const std::uint64_t n = std::min<std::uint64_t>(recorded_, ring_.size());
+  for (std::uint64_t k = 1; k <= n; ++k) {
+    const RequestRecord &r = ring_[(recorded_ - k) % ring_.size()];
+    if (r.request_id == request_id) {
       *out = r;
       return true;
     }
@@ -185,6 +75,8 @@ std::vector<SpanSelfTime> top_spans_by_self_time(
   return rows;
 }
 
+namespace {
+
 std::string json_escape(const std::string &s) {
   std::string out;
   out.reserve(s.size());
@@ -209,13 +101,14 @@ std::string json_escape(const std::string &s) {
   return out;
 }
 
-std::string slow_query_json(const RequestRecord &rec, const char *kind_name,
-                            const std::vector<SpanSelfTime> &top) {
+}  // namespace
+
+std::string request_record_json(const RequestRecord &rec,
+                                const char *kind_name) {
   char buf[512];
-  std::string out = "{";
   std::snprintf(
       buf, sizeof(buf),
-      "\"request_id\":%" PRIu64 ",\"trace_id\":%" PRIu64
+      "{\"request_id\":%" PRIu64 ",\"trace_id\":%" PRIu64
       ",\"kind\":\"%s\",\"source\":%" PRIu64 ",\"status\":%d"
       ",\"deadline_missed\":%s,\"batched\":%s,\"batch_size\":%u"
       ",\"snapshot_id\":%" PRIu64 ",\"epoch\":%" PRIu64
@@ -226,9 +119,17 @@ std::string slow_query_json(const RequestRecord &rec, const char *kind_name,
       rec.batched ? "true" : "false",
       static_cast<unsigned>(rec.batch_size), rec.snapshot_id, rec.epoch,
       rec.queue_s * 1e3, rec.exec_s * 1e3, rec.total_s * 1e3, rec.span_count);
-  out += buf;
-  out += ",\"plan\":\"" + json_escape(rec.plan) + "\"";
+  std::string out = buf;
+  out += ",\"plan\":\"" + json_escape(rec.plan) + "\"}";
+  return out;
+}
+
+std::string slow_query_json(const RequestRecord &rec, const char *kind_name,
+                            const std::vector<SpanSelfTime> &top) {
+  std::string out = request_record_json(rec, kind_name);
+  out.pop_back();  // reopen the object for top_spans
   out += ",\"top_spans\":[";
+  char buf[512];
   for (std::size_t i = 0; i < top.size(); ++i) {
     const grb::trace::Span &s = top[i].span;
     if (i > 0) out += ",";

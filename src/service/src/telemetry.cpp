@@ -6,12 +6,12 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "service/engine.hpp"
@@ -20,6 +20,11 @@ namespace lagraph {
 namespace service {
 
 namespace {
+
+// Receive and send timeout on every accepted connection. The server answers
+// one connection at a time on its only thread, so a client that stalls
+// mid-request must not hold that thread, and with it stop(), indefinitely.
+constexpr int kSocketTimeoutSeconds = 2;
 
 std::string http_response(const char *status, const char *content_type,
                           const std::string &body) {
@@ -32,25 +37,18 @@ std::string http_response(const char *status, const char *content_type,
   return os.str();
 }
 
-std::string request_record_json(const RequestRecord &rec) {
-  const char *kind = query_kind_name(static_cast<QueryKind>(rec.kind));
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"request_id\":%" PRIu64 ",\"trace_id\":%" PRIu64
-      ",\"kind\":\"%s\",\"source\":%" PRIu64 ",\"status\":%d"
-      ",\"deadline_missed\":%s,\"batched\":%s,\"batch_size\":%u"
-      ",\"snapshot_id\":%" PRIu64 ",\"epoch\":%" PRIu64
-      ",\"queue_ms\":%.3f,\"exec_ms\":%.3f,\"total_ms\":%.3f"
-      ",\"span_count\":%" PRIu64,
-      rec.request_id, rec.trace_id, kind, rec.source,
-      static_cast<int>(rec.status), rec.deadline_missed ? "true" : "false",
-      rec.batched ? "true" : "false", static_cast<unsigned>(rec.batch_size),
-      rec.snapshot_id, rec.epoch, rec.queue_s * 1e3, rec.exec_s * 1e3,
-      rec.total_s * 1e3, rec.span_count);
-  std::string out = buf;
-  out += ",\"plan\":\"" + json_escape(rec.plan) + "\"}";
-  return out;
+/// Read /requestz's id from its query string, which must be exactly
+/// `id=<decimal digits>` with a value that fits in 64 bits.
+bool parse_request_id(const std::string &query, std::uint64_t *id) {
+  if (query.compare(0, 3, "id=") != 0) return false;
+  const char *first = query.data() + 3;
+  const char *last = query.data() + query.size();
+  const auto [ptr, ec] = std::from_chars(first, last, *id);
+  return first != last && ec == std::errc() && ptr == last;
+}
+
+const char *kind_name(const RequestRecord &rec) {
+  return query_kind_name(static_cast<QueryKind>(rec.kind));
 }
 
 std::string statusz_json(const Engine &engine) {
@@ -117,7 +115,7 @@ std::string statusz_json(const Engine &engine) {
   for (const RequestRecord &rec : engine.request_log().recent(32)) {
     if (!first) os << ",";
     first = false;
-    os << request_record_json(rec);
+    os << request_record_json(rec, kind_name(rec));
   }
   os << "],";
 
@@ -145,7 +143,8 @@ std::string requestz_json(const Engine &engine, std::uint64_t id,
     if (s.request_id == rec.trace_id && rec.trace_id != 0) spans.push_back(s);
   }
   std::ostringstream os;
-  os << "{\"request\":" << request_record_json(rec) << ",\"trace\":";
+  os << "{\"request\":" << request_record_json(rec, kind_name(rec))
+     << ",\"trace\":";
   grb::trace::write_chrome_trace(os, spans);
   os << "}";
   return os.str();
@@ -216,6 +215,10 @@ void TelemetryServer::serve_loop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int conn = ::accept(listen_fd_, nullptr, nullptr);
     if (conn < 0) continue;
+    timeval tv{};
+    tv.tv_sec = kSocketTimeoutSeconds;
+    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
     handle_connection(conn);
     ::close(conn);
   }
@@ -227,7 +230,8 @@ void TelemetryServer::handle_connection(int fd) {
   char buf[2048];
   while (req.size() < 16 * 1024 && req.find("\r\n\r\n") == std::string::npos) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
+    if (n < 0) return;  // timed out mid-request: drop the client unanswered
+    if (n == 0) break;
     req.append(buf, static_cast<std::size_t>(n));
   }
   const std::size_t sp1 = req.find(' ');
@@ -273,16 +277,8 @@ std::string TelemetryServer::respond(const std::string &target) {
   }
   if (path == "/requestz") {
     std::uint64_t id = 0;
-    bool have_id = false;
-    if (q != std::string::npos) {
-      const std::string query = target.substr(q + 1);
-      const std::size_t at = query.find("id=");
-      if (at != std::string::npos) {
-        id = std::strtoull(query.c_str() + at + 3, nullptr, 10);
-        have_id = true;
-      }
-    }
-    if (!have_id) {
+    if (q == std::string::npos ||
+        !parse_request_id(target.substr(q + 1), &id)) {
       return http_response("400 Bad Request", "text/plain",
                            "usage: /requestz?id=<request id>\n");
     }

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "grb/grb.hpp"
@@ -321,6 +322,53 @@ TEST(Trace, KernelsRecordSpansWithPlans) {
   EXPECT_GT(got[0].predicted_cost, 0.0);
 }
 
+TEST(Trace, PredictedCostIgnoresStorageWidth) {
+  // The cost model prices edge visits, not index bytes: a pull mxv and a
+  // push vxm predict the same cost whether A stores u32 or u64 indices.
+  TraceGuard guard(1);
+  const grb::ForceIndexWidth saved = grb::config().force_index_width;
+  constexpr grb::Index n = 64;
+  std::vector<grb::Index> ri, ci;
+  std::vector<double> vals;
+  for (grb::Index i = 0; i < n; ++i) {
+    for (grb::Index k : {1, 7, 13}) {
+      ri.push_back(i);
+      ci.push_back((i + k) % n);
+      vals.push_back(1.0);
+    }
+  }
+  grb::Vector<double> u(n);
+  for (grb::Index i : {0, 5, 9, 40}) u.set_element(i, 1.0);
+
+  auto predicted = [&](grb::ForceIndexWidth width, grb::IndexWidth expect) {
+    grb::config().force_index_width = width;
+    grb::Matrix<double> a(n, n);
+    a.build(ri, ci, vals);
+    EXPECT_EQ(a.index_width(), expect);
+    grb::trace::reset();
+    grb::Vector<double> w(n);
+    grb::mxv(w, grb::no_mask, grb::NoAccum{}, grb::PlusTimes<double>{}, a, u);
+    grb::vxm(w, grb::no_mask, grb::NoAccum{}, grb::PlusTimes<double>{}, u, a);
+    const auto pull = spans_of(SpanKind::mxv);
+    const auto push = spans_of(SpanKind::vxm);
+    EXPECT_EQ(pull.size(), 1u);
+    EXPECT_EQ(push.size(), 1u);
+    if (pull.size() != 1 || push.size() != 1) return std::make_pair(0.0, 0.0);
+    EXPECT_EQ(pull[0].direction,
+              static_cast<std::uint8_t>(grb::plan::Direction::pull));
+    EXPECT_EQ(push[0].direction,
+              static_cast<std::uint8_t>(grb::plan::Direction::push));
+    return std::make_pair(pull[0].predicted_cost, push[0].predicted_cost);
+  };
+  const auto narrow =
+      predicted(grb::ForceIndexWidth::u32, grb::IndexWidth::u32);
+  const auto wide = predicted(grb::ForceIndexWidth::u64, grb::IndexWidth::u64);
+  grb::config().force_index_width = saved;
+  EXPECT_GT(wide.first, 0.0);
+  EXPECT_EQ(narrow.first, wide.first);    // pull mxv
+  EXPECT_EQ(narrow.second, wide.second);  // push vxm
+}
+
 TEST(StatsSnapshot, MatchesLiveCountersAndVisitsAll) {
   grb::Stats &st = grb::stats();
   const std::uint64_t before = st.push_calls.load();
@@ -339,8 +387,8 @@ TEST(StatsSnapshot, MatchesLiveCountersAndVisitsAll) {
   });
   EXPECT_TRUE(saw_push_calls);
   // Every counter in grb::Stats must be visited (GRB_STATS_COUNTERS lists
-  // 26; update this count when adding one).
-  EXPECT_EQ(visited, 26);
+  // 23; update this count when adding one).
+  EXPECT_EQ(visited, 23);
   st.push_calls.fetch_sub(3, std::memory_order_relaxed);
 }
 

@@ -1,9 +1,13 @@
 // Observability tests (`ctest -L obs`): the request-scoped tracing chain
 // end to end — kernel spans stamped with request ids, per-request roll-ups
-// in the RequestLog ring, the slow-query log's deterministic deadline-miss
-// trigger, and the embedded HTTP telemetry server scraped over a real
-// 127.0.0.1 socket (/healthz, /metrics format lint, /statusz, /requestz).
+// in the RequestLog ring (carrying only the plan that ran), the slow-query
+// log's deterministic deadline-miss trigger, and the embedded HTTP
+// telemetry server scraped over a real 127.0.0.1 socket (/healthz, /metrics
+// format lint, /statusz, /requestz, a stalled client).
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
@@ -18,6 +22,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/test_graphs.hpp"
@@ -76,6 +81,50 @@ std::string scrape(const Engine &engine, const std::string &target) {
   return TelemetryServer::http_get("127.0.0.1", tel->port(), target);
 }
 
+// A TCP connection to 127.0.0.1:port, or -1.
+int connect_local(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// GET `target` and return the response's status line.
+std::string status_line(int port, const std::string &target) {
+  const int fd = connect_local(port);
+  if (fd < 0) return "";
+  const std::string req = "GET " + target + " HTTP/1.0\r\n\r\n";
+  if (::send(fd, req.data(), req.size(), 0) !=
+      static_cast<ssize_t>(req.size())) {
+    ::close(fd);
+    return "";
+  }
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return response.substr(0, response.find("\r\n"));
+}
+
+// The plan the request log recorded for `res`.
+std::string recorded_plan(const Engine &engine, const QueryResult &res) {
+  svc::RequestRecord rec;
+  EXPECT_TRUE(engine.request_log().find(res.request_id, &rec))
+      << "request " << res.request_id;
+  return std::string(rec.plan);
+}
+
 }  // namespace
 
 TEST(RequestTracing, KernelSpansCarryRequestIds) {
@@ -110,7 +159,51 @@ TEST(RequestTracing, KernelSpansCarryRequestIds) {
   EXPECT_EQ(rec.trace_id, res.request_id);
   EXPECT_EQ(rec.status, LAGRAPH_OK);
   EXPECT_EQ(rec.span_count, kernel_stamped);
-  EXPECT_GT(std::string(rec.plan).size(), 0u);  // ExecPlan::explain_line()
+  // A BFS runs no compiled plan, so its roll-up records none.
+  EXPECT_EQ(std::string(rec.plan), "");
+}
+
+TEST(RequestTracing, RecordsOnlyThePlanThatRan) {
+  auto snap = make_kron_snapshot(6, 24);
+  EngineConfig cfg;
+  cfg.threads = 1;
+  cfg.enable_batching = false;  // BFS runs solo
+  Engine engine(snap, cfg);
+
+  // BFS, SSSP, PageRank and TC compile no plan: their roll-ups stay empty.
+  for (QueryKind kind : {QueryKind::bfs, QueryKind::sssp, QueryKind::pagerank,
+                         QueryKind::tc}) {
+    Request req;
+    req.kind = kind;
+    req.source = 1;
+    const QueryResult res = engine.submit(req).get();
+    ASSERT_EQ(res.status, LAGRAPH_OK)
+        << svc::query_kind_name(kind) << ": " << res.error;
+    EXPECT_EQ(recorded_plan(engine, res), "") << svc::query_kind_name(kind);
+  }
+
+  // A cypher request records exactly the plan it compiled and ran.
+  Request cypher;
+  cypher.kind = QueryKind::cypher;
+  cypher.query = "MATCH (a)-[]->(b)-[]->(c) WHERE a = 1 RETURN COUNT(*)";
+  const QueryResult ran = engine.submit(cypher).get();
+  ASSERT_EQ(ran.status, LAGRAPH_OK) << ran.error;
+  ASSERT_FALSE(ran.plan.empty());
+  EXPECT_EQ(recorded_plan(engine, ran), ran.plan);
+
+  // Text that does not parse compiles nothing, so nothing is recorded.
+  cypher.query = "MATCH (a)-[]->(b)";  // no RETURN
+  const QueryResult bad = engine.submit(cypher).get();
+  EXPECT_LT(bad.status, 0);
+  EXPECT_EQ(recorded_plan(engine, bad), "");
+  engine.stop();
+
+  // A BFS answered by a sweep (here of width 1) records no plan either.
+  Engine batching(snap, EngineConfig{});
+  const QueryResult swept = batching.submit(bfs_req(2)).get();
+  ASSERT_EQ(swept.status, LAGRAPH_OK) << swept.error;
+  EXPECT_EQ(recorded_plan(batching, swept), "");
+  batching.stop();
 }
 
 TEST(RequestTracing, BatchMembersShareTheSweepTraceId) {
@@ -258,10 +351,8 @@ TEST(SlowQueryLog, DeadlineMissEmitsExactlyOneRecord) {
   const std::string &line = tail.front();
   EXPECT_NE(line.find("\"deadline_missed\":true"), std::string::npos) << line;
   EXPECT_NE(line.find("\"kind\":\"bfs\""), std::string::npos) << line;
-  // The record carries the plan the query would have run — the acceptance
-  // contract for post-mortems on expired requests.
-  EXPECT_NE(line.find("\"plan\":\""), std::string::npos) << line;
-  EXPECT_EQ(line.find("\"plan\":\"\""), std::string::npos) << line;
+  // Nothing ran, so the record carries no plan.
+  EXPECT_NE(line.find("\"plan\":\"\""), std::string::npos) << line;
 
   // The JSONL sink got the same single record.
   std::ifstream in(path);
@@ -273,6 +364,31 @@ TEST(SlowQueryLog, DeadlineMissEmitsExactlyOneRecord) {
   }
   EXPECT_EQ(lines, 1u);
   std::remove(path.c_str());
+}
+
+TEST(SlowQueryLog, ExpiredUnparsableCypherRecordsNoPlan) {
+  auto snap = make_kron_snapshot(6, 19);
+  EngineConfig cfg;
+  cfg.threads = 1;
+  Engine engine(snap, cfg);
+
+  Request late;
+  late.kind = QueryKind::cypher;
+  late.query = "MATCH (a)-[]->(b)";  // no RETURN: does not parse
+  late.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  const QueryResult res = engine.submit(late).get();
+  EXPECT_EQ(res.status, LAGRAPH_SERVICE_DEADLINE);
+  engine.stop();
+
+  // The request expired in the queue: no plan was compiled, and neither the
+  // roll-up nor the slow-query line may invent one.
+  EXPECT_EQ(recorded_plan(engine, res), "");
+  const auto tail = engine.slow_query_tail();
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_NE(tail.front().find("\"kind\":\"cypher\""), std::string::npos)
+      << tail.front();
+  EXPECT_NE(tail.front().find("\"plan\":\"\""), std::string::npos)
+      << tail.front();
 }
 
 TEST(SlowQueryLog, SilentUnderThreshold) {
@@ -434,6 +550,62 @@ TEST(Telemetry, StatuszAndRequestzReconstructTheRequest) {
             "request not in the retained window\n");
   EXPECT_EQ(scrape(engine, "/requestz"),
             "usage: /requestz?id=<request id>\n");
+  engine.stop();
+}
+
+TEST(Telemetry, RequestzAcceptsOnlyAWholeDecimalId) {
+  auto snap = make_kron_snapshot(6, 25);
+  EngineConfig cfg;
+  cfg.threads = 1;
+  cfg.enable_batching = false;
+  cfg.telemetry_port = 0;
+  Engine engine(snap, cfg);
+  const QueryResult res = engine.submit(bfs_req(1)).get();
+  ASSERT_EQ(res.status, LAGRAPH_OK) << res.error;
+  const int port = engine.telemetry()->port();
+  ASSERT_GT(port, 0);
+  const std::string id = std::to_string(res.request_id);
+
+  EXPECT_EQ(status_line(port, "/requestz?id=" + id), "HTTP/1.0 200 OK");
+  EXPECT_EQ(status_line(port, "/requestz?id=999999999"),
+            "HTTP/1.0 404 Not Found");
+  // The query string must be exactly id=<decimal digits>.
+  for (const std::string &target :
+       {"/requestz?xid=" + id, "/requestz?id=" + id + "x",
+        "/requestz?view=1&id=" + id, "/requestz?id=" + id + "&view=1",
+        std::string("/requestz?id=abc"), std::string("/requestz?id="),
+        std::string("/requestz?id=-1"), std::string("/requestz?id=+1"),
+        std::string("/requestz?id=99999999999999999999999")}) {
+    EXPECT_EQ(status_line(port, target), "HTTP/1.0 400 Bad Request")
+        << target;
+  }
+  engine.stop();
+}
+
+TEST(Telemetry, StalledClientDoesNotHangShutdown) {
+  auto snap = make_kron_snapshot(6, 26);
+  EngineConfig cfg;
+  cfg.telemetry_port = 0;
+  Engine engine(snap, cfg);
+  TelemetryServer *tel = engine.telemetry();
+  ASSERT_NE(tel, nullptr);
+  ASSERT_GT(tel->port(), 0);
+
+  // Send half a request head, then go quiet with the connection open.
+  const int fd = connect_local(tel->port());
+  ASSERT_GE(fd, 0);
+  const std::string partial = "GET /healthz HTTP/1.0\r\n";
+  ASSERT_EQ(::send(fd, partial.data(), partial.size(), 0),
+            static_cast<ssize_t>(partial.size()));
+  // Let the server accept and block reading the rest of the head.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  auto stopped = std::async(std::launch::async, [tel] { tel->stop(); });
+  const bool in_time = stopped.wait_for(std::chrono::seconds(8)) ==
+                       std::future_status::ready;
+  ::close(fd);  // frees a server still waiting on this client
+  stopped.wait();
+  EXPECT_TRUE(in_time) << "stop() waited on a stalled client";
   engine.stop();
 }
 

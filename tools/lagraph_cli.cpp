@@ -887,8 +887,6 @@ int main(int argc, char **argv) {
       od.a_rows = n;
       od.a_cols = n;
       od.a_nvals = nnz;
-      od.a_width = g.a.index_width();
-      od.b_width = od.a_width;
       return od;
     };
     auto show = [](const char *label, const grb::plan::OpDesc &od) {
