@@ -34,13 +34,18 @@
 //                     reverse traversal, cached row/col degree vectors
 //                     serve degree predicates.
 //
-// Count chains skip both phases. A COUNT(*) pattern without '<>' whose
-// edges form one simple path over all its variables is a walk count,
-// 1ᵀ·A·A·…·e_pin: the optimizer compiles it to one masked plus.first
-// product per pattern edge, walked from the end nearer the most selective
-// seed, and the executor sums the final vector. Its cost is bounded by one
-// adjacency pass per edge, whatever the number of matches. The seed and
-// degree-filter steps become the products' masks.
+// Walk chains skip both phases. When a pattern's edges form one simple
+// path over all its variables, the number of matches ending at each node
+// of an end variable is a walk count, e_pinᵀ·A·A·…: the optimizer compiles
+// it to one masked plus.first product per pattern edge, and the executor
+// finishes the last walk vector in one of two ways. COUNT(*) sums it
+// (walked from the end nearer the most selective seed); a RETURN of that
+// end variable emits its indices in ascending order, each repeated by its
+// walk count and cut at LIMIT (walked toward the returned variable). A
+// '<>' between the final variable and a pinned one drops the pin's node
+// from the last vector first. Its cost is bounded by one adjacency pass
+// per edge, whatever the number of matches. The seed and degree-filter
+// steps become the products' masks.
 //
 // compile(..., optimize=false) produces the naive baseline plan; EXPLAIN
 // prints both so reorderings and pushdowns are diff-visible.
@@ -57,13 +62,13 @@
 namespace lagraph {
 namespace query {
 
-/// One compiled step: candidate pruning, or one product of a count chain.
+/// One compiled step: candidate pruning, or one product of a walk chain.
 struct PlanStep {
   enum class Kind : std::uint8_t {
     seed,           // initialize a variable's candidate vector
     degree_filter,  // intersect candidates with a select() over degrees
     prune,          // propagate candidates across one edge constraint
-    count_hop,      // count chain: walk counts from `from` across an edge
+    count_hop,      // walk chain: walk counts from `from` across an edge
   };
 
   Kind kind = Kind::seed;
@@ -85,16 +90,20 @@ struct PlanStep {
 };
 
 /// A compiled query plan: the pruning schedule plus the enumeration order,
-/// or, for a count chain, its seeds and products.
+/// or, for a walk chain, its seeds and products.
 struct QueryPlan {
+  /// How the plan produces its rows. `enumerate` prunes, then enumerates
+  /// by DFS. The other two are walk chains: steps are seeds (only those a
+  /// product reads), degree filters and one count_hop per edge, with no
+  /// prune steps and no enumeration; `count` sums the last walk vector for
+  /// COUNT(*), `rows` emits it as the one returned column.
+  enum class Finish : std::uint8_t { enumerate, count, rows };
+
   bool optimized = true;
-  /// COUNT(*) by the product chain: steps are seeds (only those a product
-  /// reads), degree filters and one count_hop per edge; no prune steps and
-  /// no enumeration.
-  bool count_chain = false;
+  Finish finish = Finish::enumerate;
   std::vector<PlanStep> steps;
-  /// Variable indices, outermost first; for a count chain, the walk
-  /// order (start variable first).
+  /// Variable indices, outermost first; for a walk chain, the walk order
+  /// (start variable first, the variable its finish reads last).
   std::vector<int> enum_order;
   std::vector<double> est;      // final per-variable candidate estimates
   double avg_degree = 0;
@@ -103,6 +112,8 @@ struct QueryPlan {
   bool reuse_transpose = false;
   bool reuse_row_degree = false;
   bool reuse_col_degree = false;
+
+  [[nodiscard]] bool chain() const { return finish != Finish::enumerate; }
 
   /// Multi-line plan rendering for `lagraph_cli explain query`.
   [[nodiscard]] std::string explain(const Query &q) const;
@@ -114,7 +125,7 @@ struct QueryPlan {
 /// Compile `q` against `g` (shape + cached properties only — no kernel
 /// runs, so this is cheap enough for EXPLAIN).
 /// `optimize=false` yields the naive left-to-right baseline, which never
-/// takes the count chain.
+/// takes a walk chain.
 int compile(QueryPlan *out, const Query &q, const Graph<double> &g,
             bool optimize, char *msg);
 

@@ -8,9 +8,10 @@
 // rows. Rows are sorted lexicographically and truncated by LIMIT, which
 // makes the result bit-comparable against the tuple-at-a-time oracle.
 //
-// A count-chain plan runs only its seed and degree-filter steps, then its
-// products (plus.first over uint64 walk counts) and one reduce in place
-// of both phases: no pruning, no enumeration.
+// A walk-chain plan runs only its seed and degree-filter steps, then its
+// products (plus.first over uint64 walk counts) in place of both phases,
+// and finishes the last walk vector: a reduce for COUNT(*), or its indices
+// by walk count for a one-column RETURN. No pruning, no enumeration.
 
 #include <algorithm>
 #include <cstdint>
@@ -29,7 +30,7 @@ namespace {
 
 using grb::Index;
 using Cand = grb::Vector<std::int64_t>;
-/// Per-node walk counts of a count chain. Unsigned, like the enumerator's
+/// Per-node walk counts of a walk chain. Unsigned, like the enumerator's
 /// counter: a sum past 2^64 wraps identically on both paths (a signed plus
 /// monoid would overflow into undefined behaviour instead).
 using Walks = grb::Vector<std::uint64_t>;
@@ -182,7 +183,7 @@ void run_degree_filter(const Query &q, const PlanStep &s,
   (*cand)[s.var] = std::move(next);
 }
 
-/// One count-chain product: r(v) = Σ m(u) over the edge's arcs u→v (the
+/// One walk-chain product: r(v) = Σ m(u) over the edge's arcs u→v (the
 /// walk counts ending at `from` pushed onto `var`), masked by `var`'s
 /// candidates when the plan pushed them. Reverse arcs take the cached A^T
 /// or, without one, a pull mxv over A (plus.second: the count rides in
@@ -211,24 +212,78 @@ Walks count_hop(const grb::Vector<U> &m, const PlanStep &s,
   return r;
 }
 
-/// COUNT(*) of a count chain: the start variable's candidates pushed
-/// across every hop, then summed — 1ᵀ·A·…·A restricted to the seeds.
-std::uint64_t count_chain(const QueryPlan &plan, const Graph<double> &g,
-                          const std::vector<Cand> &cand) {
+void finish_rows(const Query &q, std::vector<std::vector<std::int64_t>> rows,
+                 std::uint64_t count, ResultSet *out) {
+  out->clear();
+  if (q.count_only) {
+    out->columns.emplace_back("count");
+    rows.clear();
+    rows.push_back({static_cast<std::int64_t>(count)});
+  } else {
+    for (const int v : q.returns) out->columns.push_back(q.vars[v]);
+    std::sort(rows.begin(), rows.end());
+  }
+  if (q.limit >= 0 && rows.size() > static_cast<std::size_t>(q.limit)) {
+    rows.resize(static_cast<std::size_t>(q.limit));
+  }
+  out->data.assign(out->columns.size(), {});
+  for (auto &col : out->data) col.reserve(rows.size());
+  for (const auto &row : rows) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      out->data[c].push_back(row[c]);
+    }
+  }
+}
+
+/// Finish a walk chain from `m`, the walk counts ending at each node of
+/// its last variable (a candidate vector, one walk per node, when the
+/// pattern has a single variable). A '<>' against a pinned variable first
+/// drops that variable's seed, at most its one node. COUNT(*) sums the
+/// rest; RETURN emits each index in ascending order, repeated by its walk
+/// count and cut at LIMIT: the sorted bag the enumerator would build.
+template <typename U>
+void finish_chain(const Query &q, const QueryPlan &plan,
+                  const std::vector<Cand> &cand, grb::Vector<U> m,
+                  ResultSet *out) {
+  const int last = plan.enum_order.back();
+  for (const NeqConstraint &ne : q.neqs) {
+    cand[ne.a == last ? ne.b : ne.a].for_each(
+        [&](Index i, const std::int64_t &) { m.remove_element(i); });
+  }
+  if (plan.finish == QueryPlan::Finish::count) {
+    std::uint64_t count = 0;
+    grb::reduce(count, grb::NoAccum{}, grb::PlusMonoid<std::uint64_t>{}, m);
+    finish_rows(q, {}, count, out);
+    return;
+  }
+  out->clear();
+  out->columns.push_back(q.vars[last]);
+  std::vector<std::int64_t> &col = out->data.emplace_back();
+  const std::uint64_t cap = q.limit >= 0 ? static_cast<std::uint64_t>(q.limit)
+                                         : UINT64_MAX;
+  m.for_each([&](Index i, const U &walks) {
+    const std::uint64_t take =
+        std::min<std::uint64_t>(static_cast<std::uint64_t>(walks),
+                                cap - col.size());
+    col.insert(col.end(), take, static_cast<std::int64_t>(i));
+  });
+}
+
+/// Run a walk chain: the start variable's candidates pushed across every
+/// hop (1ᵀ·A·…·A restricted to the seeds), then finished.
+void run_chain(const Query &q, const QueryPlan &plan, const Graph<double> &g,
+               const std::vector<Cand> &cand, ResultSet *out) {
   std::optional<Walks> m;  // unset until the first hop
   for (const PlanStep &s : plan.steps) {
     if (s.kind != PlanStep::Kind::count_hop) continue;
     m = m ? count_hop(*m, s, g, cand[s.var])
           : count_hop(cand[s.from], s, g, cand[s.var]);
   }
-  std::uint64_t count = 0;
-  const grb::PlusMonoid<std::uint64_t> plus{};
   if (m) {
-    grb::reduce(count, grb::NoAccum{}, plus, *m);
-  } else {  // a single-variable pattern: count its candidates
-    grb::reduce(count, grb::NoAccum{}, plus, cand[plan.enum_order.front()]);
+    finish_chain(q, plan, cand, std::move(*m), out);
+  } else {  // a single-variable pattern
+    finish_chain(q, plan, cand, cand[plan.enum_order.front()], out);
   }
-  return count;
 }
 
 // ---------------------------------------------------------------------------
@@ -369,29 +424,6 @@ struct Enumerator {
   }
 };
 
-void finish_rows(const Query &q, std::vector<std::vector<std::int64_t>> rows,
-                 std::uint64_t count, ResultSet *out) {
-  out->clear();
-  if (q.count_only) {
-    out->columns.emplace_back("count");
-    rows.clear();
-    rows.push_back({static_cast<std::int64_t>(count)});
-  } else {
-    for (const int v : q.returns) out->columns.push_back(q.vars[v]);
-    std::sort(rows.begin(), rows.end());
-  }
-  if (q.limit >= 0 && rows.size() > static_cast<std::size_t>(q.limit)) {
-    rows.resize(static_cast<std::size_t>(q.limit));
-  }
-  out->data.assign(out->columns.size(), {});
-  for (auto &col : out->data) col.reserve(rows.size());
-  for (const auto &row : rows) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out->data[c].push_back(row[c]);
-    }
-  }
-}
-
 }  // namespace
 
 std::string ResultSet::to_string() const {
@@ -425,7 +457,7 @@ int execute(ResultSet *out, const Query &q, const QueryPlan &plan,
     const int nv = static_cast<int>(q.vars.size());
     std::vector<Cand> cand(static_cast<std::size_t>(nv));
 
-    // Phase 1: run the pruning schedule (a count chain's products run
+    // Phase 1: run the pruning schedule (a walk chain's products run
     // after it, once every seed is in place).
     for (const PlanStep &s : plan.steps) {
       switch (s.kind) {
@@ -444,14 +476,14 @@ int execute(ResultSet *out, const Query &q, const QueryPlan &plan,
           if (q.edges[s.edge].dir == EdgeDir::both &&
               g.transpose_view() != &g.a) {
             return detail::set_msg(msg, LAGRAPH_INVALID_VALUE,
-                                   "execute: count chain needs a symmetric "
+                                   "execute: walk chain needs a symmetric "
                                    "pattern for '-[]-'");
           }
           break;
       }
     }
-    if (plan.count_chain) {
-      finish_rows(q, {}, count_chain(plan, g, cand), out);
+    if (plan.chain()) {
+      run_chain(q, plan, g, cand, out);
       return LAGRAPH_OK;
     }
 

@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "lagraph/status.hpp"
@@ -77,6 +78,8 @@ struct Cursor {
     return true;
   }
 
+  /// A non-negative decimal that fits int64_t. A longer one fails at the
+  /// digit that would overflow, before it is multiplied in.
   bool integer(std::int64_t *out) {
     ws();
     if (p >= s.size() || !std::isdigit(static_cast<unsigned char>(s[p]))) {
@@ -84,8 +87,11 @@ struct Cursor {
     }
     std::int64_t v = 0;
     while (p < s.size() && std::isdigit(static_cast<unsigned char>(s[p]))) {
-      v = v * 10 + (s[p] - '0');
-      if (v < 0) return false;  // overflow
+      const int d = s[p] - '0';
+      if (v > (std::numeric_limits<std::int64_t>::max() - d) / 10) {
+        return false;
+      }
+      v = v * 10 + d;
       ++p;
     }
     *out = v;

@@ -9,7 +9,7 @@
 // unconstrained one n; propagating across an edge multiplies by the
 // average degree. That is enough to pick a propagation root and an
 // enumeration order — correctness never depends on the numbers because
-// enumeration re-checks every constraint. A count chain is exact by
+// enumeration re-checks every constraint. A walk chain is exact by
 // construction instead: its products count every walk the path admits.
 
 #include <algorithm>
@@ -169,19 +169,16 @@ void schedule_optimized(const Query &q, QueryPlan *p, double n) {
   }
 }
 
-/// True when the optimized plan may count `q` by the product chain:
-/// COUNT(*) with no '<>', and edges forming one simple path over every
-/// variable (then `vars` gets the path's variables from one end and
-/// `edges` the edge between each consecutive pair). A '-[]-' edge needs
-/// a symmetric pattern, where A ∪ Aᵀ = A is one product; on a directed
-/// pattern the sum of two products would count reciprocal arcs twice.
+/// True when the edges of `q` form one simple path over every variable
+/// (then `vars` gets the path's variables from one end and `edges` the
+/// edge between each consecutive pair), so its matches are walks. A
+/// '-[]-' edge needs a symmetric pattern, where A ∪ Aᵀ = A is one product;
+/// on a directed pattern the sum of two products would count reciprocal
+/// arcs twice.
 bool chain_path(const Query &q, const Graph<double> &g, std::vector<int> *vars,
                 std::vector<int> *edges) {
   const int nv = static_cast<int>(q.vars.size());
-  if (!q.count_only || !q.neqs.empty() ||
-      q.edges.size() + 1 != q.vars.size()) {
-    return false;
-  }
+  if (q.edges.size() + 1 != q.vars.size()) return false;
   std::vector<int> degree(static_cast<std::size_t>(nv), 0);
   for (const EdgeConstraint &e : q.edges) {
     if (e.src == e.dst || ++degree[e.src] > 2 || ++degree[e.dst] > 2) {
@@ -216,20 +213,53 @@ bool chain_path(const Query &q, const Graph<double> &g, std::vector<int> *vars,
   return true;
 }
 
-/// Count-chain schedule: keep only the seeds a product reads (the start
-/// vector and the masks of pinned or degree-filtered variables), then one
-/// count_hop per edge, walking from the end of the path nearer its most
-/// selective variable so a pinned end starts from a single node.
-void schedule_count_chain(const Query &q, QueryPlan *p, std::vector<int> vars,
-                          std::vector<int> edges, double n) {
-  const auto most_selective = static_cast<std::size_t>(
-      std::min_element(vars.begin(), vars.end(),
-                       [&](int x, int y) { return p->est[x] < p->est[y]; }) -
-      vars.begin());
-  if (2 * most_selective > vars.size() - 1) {
-    std::reverse(vars.begin(), vars.end());
-    std::reverse(edges.begin(), edges.end());
+/// True when every '<>' of `q` pairs `last` with another, pinned variable.
+/// A pinned variable binds only its pin's node, so dropping that node from
+/// the walk vector at `last` is exact; a conflicting or out-of-range pin
+/// leaves an empty seed, which already empties every walk through it.
+bool exclusions_end_at(const Query &q, int last) {
+  const auto pinned = [&](int v) {
+    return std::any_of(q.pins.begin(), q.pins.end(),
+                       [&](const PinConstraint &pin) { return pin.var == v; });
+  };
+  return std::all_of(
+      q.neqs.begin(), q.neqs.end(), [&](const NeqConstraint &ne) {
+        const int other = ne.a == last ? ne.b : ne.b == last ? ne.a : last;
+        return other != last && pinned(other);
+      });
+}
+
+/// Orient the path so that it ends at the variable the finish reads, or
+/// return false when no orientation can finish `q`. A RETURN of one end
+/// variable (or of the only one) ends there. COUNT(*) walks from the end
+/// nearer its most selective variable, so a pinned end starts from a
+/// single node, unless only the other end meets the '<>'s.
+bool orient_chain(const Query &q, const QueryPlan &p, std::vector<int> *vars,
+                  std::vector<int> *edges) {
+  const auto flip = [&] {
+    std::reverse(vars->begin(), vars->end());
+    std::reverse(edges->begin(), edges->end());
+  };
+  if (!q.count_only) {
+    if (q.returns.size() != 1) return false;
+    if (vars->front() == q.returns[0]) flip();
+    return vars->back() == q.returns[0] && exclusions_end_at(q, vars->back());
   }
+  const auto most_selective = static_cast<std::size_t>(
+      std::min_element(vars->begin(), vars->end(),
+                       [&](int x, int y) { return p.est[x] < p.est[y]; }) -
+      vars->begin());
+  if (2 * most_selective > vars->size() - 1) flip();
+  if (exclusions_end_at(q, vars->back())) return true;
+  flip();
+  return exclusions_end_at(q, vars->back());
+}
+
+/// Walk-chain schedule over an oriented path: keep only the seeds a
+/// product reads (the start vector and the masks of pinned or
+/// degree-filtered variables), then one count_hop per edge.
+void schedule_chain(const Query &q, QueryPlan *p, const std::vector<int> &vars,
+                    const std::vector<int> &edges, double n) {
   std::vector<char> constrained(q.vars.size(), 0);
   for (const PinConstraint &pin : q.pins) constrained[pin.var] = 1;
   for (const DegreeConstraint &d : q.degs) constrained[d.var] = 1;
@@ -237,7 +267,7 @@ void schedule_count_chain(const Query &q, QueryPlan *p, std::vector<int> vars,
     return s.kind == PlanStep::Kind::seed && s.var != vars.front() &&
            !constrained[s.var];
   });
-  p->count_chain = true;
+  p->finish = q.count_only ? QueryPlan::Finish::count : QueryPlan::Finish::rows;
   p->enum_order = vars;
   for (std::size_t i = 1; i < vars.size(); ++i) {
     const EdgeConstraint &e = q.edges[edges[i - 1]];
@@ -297,8 +327,9 @@ int compile(QueryPlan *out, const Query &q, const Graph<double> &g,
   std::vector<int> edges;
   if (!optimize) {
     schedule_naive(q, out, n);
-  } else if (chain_path(q, g, &vars, &edges)) {
-    schedule_count_chain(q, out, std::move(vars), std::move(edges), n);
+  } else if (chain_path(q, g, &vars, &edges) &&
+             orient_chain(q, *out, &vars, &edges)) {
+    schedule_chain(q, out, vars, edges, n);
   } else {
     schedule_optimized(q, out, n);
   }
@@ -371,21 +402,35 @@ std::string QueryPlan::explain(const Query &q) const {
       }
     }
   }
-  out += count_chain ? "walk order:" : "enum order:";
+  out += chain() ? "walk order:" : "enum order:";
   for (const int v : enum_order) {
     out += ' ';
     out += q.vars[v];
   }
-  if (count_chain) {
-    append(&out, "\ncount := reduce(plus.uint64) over %s, no enumeration",
-           q.vars[enum_order.back()].c_str());
+  if (chain()) {
+    const int last = enum_order.back();
+    if (finish == Finish::count) {
+      append(&out, "\ncount := reduce(plus.uint64) over %s",
+             q.vars[last].c_str());
+    } else {
+      append(&out, "\nrows := %s by walk count, ascending",
+             q.vars[last].c_str());
+    }
+    for (const NeqConstraint &ne : q.neqs) {
+      append(&out, ", minus pinned %s",
+             q.vars[ne.a == last ? ne.b : ne.a].c_str());
+    }
+    if (finish == Finish::rows && q.limit >= 0) {
+      append(&out, ", LIMIT %lld", static_cast<long long>(q.limit));
+    }
+    out += ", no enumeration";
   }
   out += '\n';
   return out;
 }
 
 std::string QueryPlan::explain_line() const {
-  std::size_t ops = 0;  // prune steps, or count_hop steps of a count chain
+  std::size_t ops = 0;  // prune steps, or count_hop steps of a walk chain
   std::size_t masked = 0;
   for (const PlanStep &s : steps) {
     if (s.kind != PlanStep::Kind::prune &&
@@ -408,7 +453,10 @@ std::string QueryPlan::explain_line() const {
   std::snprintf(buf, sizeof buf,
                 "cypher[%s] vars=%zu %s=%zu masked=%zu order=%s cse=%s",
                 optimized ? "opt" : "naive", est.size(),
-                count_chain ? "count=chain hops" : "prunes", ops, masked,
+                finish == Finish::count  ? "count=chain hops"
+                : finish == Finish::rows ? "rows=chain hops"
+                                         : "prunes",
+                ops, masked,
                 order.c_str(), cse.empty() ? "none" : cse.c_str());
   return buf;
 }

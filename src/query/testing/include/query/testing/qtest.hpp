@@ -74,11 +74,12 @@ std::optional<QueryMismatch> check_one(const QueryScenario &s,
                                        bool optimized);
 
 /// Full sweep: every RunConfig × {naive, optimized}. `instances` counts
-/// executed (scenario, config, mode) triples; `count_chain`, when given,
-/// is set to whether the optimized plan took the count chain.
-std::optional<QueryMismatch> check_sweep(const QueryScenario &s,
-                                         std::uint64_t *instances = nullptr,
-                                         bool *count_chain = nullptr);
+/// executed (scenario, config, mode) triples; `finish`, when given, is set
+/// to how the optimized plan produced its rows (enumerated, or a walk
+/// chain's count or projection).
+std::optional<QueryMismatch> check_sweep(
+    const QueryScenario &s, std::uint64_t *instances = nullptr,
+    QueryPlan::Finish *finish = nullptr);
 
 /// Greedy shrink: drop graph edges and trailing nodes while the scenario
 /// still mismatches under check_sweep().
@@ -94,9 +95,11 @@ struct QueryFuzzOptions {
 struct QueryFuzzReport {
   std::uint64_t scenarios = 0;
   std::uint64_t instances = 0;  // (scenario, config, mode) triples
-  /// Scenarios whose optimized plan took the count chain (the rest, and
-  /// every naive plan, enumerated).
+  /// Scenarios whose optimized plan took a walk chain, for COUNT(*) or
+  /// for a one-column projection (the rest, and every naive plan,
+  /// enumerated).
   std::uint64_t count_chain = 0;
+  std::uint64_t projection_chain = 0;
   bool ok = true;
   std::uint64_t failing_seed = 0;
   std::string detail;

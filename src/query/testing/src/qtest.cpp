@@ -406,7 +406,7 @@ std::optional<QueryMismatch> check_leg(const QueryScenario &s, const Query &q,
                                        const ResultSet &expected,
                                        const grb::testing::RunConfig &rc,
                                        bool optimized,
-                                       bool *count_chain = nullptr) {
+                                       QueryPlan::Finish *finish = nullptr) {
   const std::string cfg =
       rc.name() + (optimized ? " [optimized]" : " [naive]");
   const auto mismatch = [&](const std::string &detail) {
@@ -423,7 +423,7 @@ std::optional<QueryMismatch> check_leg(const QueryScenario &s, const Query &q,
   if (rc2 != LAGRAPH_OK) {
     return mismatch(std::string("compile error: ") + msg);
   }
-  if (count_chain != nullptr) *count_chain = plan.count_chain;
+  if (finish != nullptr) *finish = plan.finish;
   ResultSet got;
   rc2 = execute(&got, q, plan, g, msg);
   if (rc2 != LAGRAPH_OK) {
@@ -454,7 +454,7 @@ std::optional<QueryMismatch> check_one(const QueryScenario &s,
 
 std::optional<QueryMismatch> check_sweep(const QueryScenario &s,
                                          std::uint64_t *instances,
-                                         bool *count_chain) {
+                                         QueryPlan::Finish *finish) {
   char msg[LAGRAPH_MSG_LEN] = {0};
   Query q;
   if (parse(&q, s.text, msg) != LAGRAPH_OK) {
@@ -465,7 +465,7 @@ std::optional<QueryMismatch> check_sweep(const QueryScenario &s,
   for (const grb::testing::RunConfig &rc : grb::testing::sweep_configs()) {
     for (const bool optimized : {false, true}) {
       auto mm = check_leg(s, q, expected, rc, optimized,
-                          optimized ? count_chain : nullptr);
+                          optimized ? finish : nullptr);
       if (instances != nullptr) ++*instances;
       if (mm) return mm;
     }
@@ -523,10 +523,11 @@ QueryFuzzReport fuzz(const QueryFuzzOptions &opt) {
     }
     if (opt.max_scenarios == 0 && opt.seconds <= 0) break;
     const QueryScenario s = generate(seed);
-    bool chain = false;
-    auto mm = check_sweep(s, &rep.instances, &chain);
+    QueryPlan::Finish finish = QueryPlan::Finish::enumerate;
+    auto mm = check_sweep(s, &rep.instances, &finish);
     ++rep.scenarios;
-    if (chain) ++rep.count_chain;
+    if (finish == QueryPlan::Finish::count) ++rep.count_chain;
+    if (finish == QueryPlan::Finish::rows) ++rep.projection_chain;
     if (mm) {
       rep.ok = false;
       rep.failing_seed = seed;

@@ -20,12 +20,15 @@ import sys
 
 # Fixed patterns: a pinned 3-hop count (count chain walked from the pin
 # over the cached A^T), a degree-filtered projection (filter step, prune
-# reordering, mask pushdown, CSE), and an undirected wedge count pinned in
-# the middle (count chain with a pushed mask).
+# reordering, mask pushdown, CSE), an undirected wedge count pinned in
+# the middle (count chain with a pushed mask), and the engine benchmark's
+# rows shape (projection chain walked from the pin to the returned
+# variable, minus the pin, cut at LIMIT).
 PATTERNS = [
     "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE d = 100 RETURN COUNT(*)",
     "MATCH (a)-[]->(b) WHERE a.out >= 8 AND a <> b RETURN a, b LIMIT 10",
     "MATCH (a)-[]-(b)-[]-(c) WHERE b = 3 RETURN COUNT(*)",
+    "MATCH (a)-[]->(b)-[]->(c) WHERE a = 100 AND a <> c RETURN c LIMIT 100",
 ]
 
 GRAPH_ARGS = ["--gen", "kron", "8"]

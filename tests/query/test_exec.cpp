@@ -1,6 +1,7 @@
 // Execution tests for the compiled query pipeline: direct semantic units
-// on tiny graphs, count chains against the naive plan's enumeration (and
-// their kernel-call bound on a kron hub), the golden-file queries
+// on tiny graphs, walk chains (COUNT(*) and one-column projections)
+// against the naive plan's enumeration (and their kernel-call bound on a
+// kron hub), the golden-file queries
 // (independent Python references from tests/golden/gen_golden.py),
 // differential spot checks + a budgeted fuzz run against the
 // tuple-at-a-time oracle, and the service::Engine integration
@@ -165,10 +166,13 @@ TEST(QueryExec, NaiveAndOptimizedPlansAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Count chains: the optimized plan's product-chain COUNT(*) against the
-// naive plan's enumerated count, and the shapes that must keep enumerating.
+// Walk chains: the optimized plan's product-chain COUNT(*) and one-column
+// projections against the naive plan's enumeration, and the shapes that
+// must keep enumerating.
 
 namespace {
+
+using Finish = q::QueryPlan::Finish;
 
 // Directed: a 4-cycle 0->1->2->3->0 with a reciprocal arc 1->0 and a chord
 // 0->2, a self-loop on 4 inside the cycle 2->4->5->2, and isolated 6.
@@ -176,8 +180,16 @@ const std::vector<std::pair<Index, Index>> kCountEdges = {
     {0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 0}, {0, 2},
     {4, 4}, {2, 4}, {4, 5}, {5, 2}};
 
-void expect_count_plan(const lagraph::Graph<double> &g,
-                       const std::string &text, bool chain) {
+lagraph::Graph<double> count_graph(bool directed, bool cached) {
+  qt::QueryScenario sc;
+  sc.n = 7;
+  sc.directed = directed;
+  for (const auto &e : kCountEdges) sc.edges.emplace_back(e.first, e.second);
+  return qt::build_graph(sc, cached);
+}
+
+void expect_plan(const lagraph::Graph<double> &g, const std::string &text,
+                 Finish finish) {
   SCOPED_TRACE(text);
   q::Query p;
   char msg[LAGRAPH_MSG_LEN];
@@ -186,11 +198,11 @@ void expect_count_plan(const lagraph::Graph<double> &g,
   ASSERT_EQ(q::compile(&po, p, g, /*optimize=*/true, msg), LAGRAPH_OK) << msg;
   ASSERT_EQ(q::compile(&pn, p, g, /*optimize=*/false, msg), LAGRAPH_OK)
       << msg;
-  EXPECT_EQ(po.count_chain, chain);
-  EXPECT_FALSE(pn.count_chain);
+  EXPECT_EQ(po.finish, finish);
+  EXPECT_EQ(pn.finish, Finish::enumerate);
   for (const auto &st : po.steps) {
-    EXPECT_NE(st.kind, chain ? q::PlanStep::Kind::prune
-                             : q::PlanStep::Kind::count_hop);
+    EXPECT_NE(st.kind, po.chain() ? q::PlanStep::Kind::prune
+                                  : q::PlanStep::Kind::count_hop);
   }
   q::ResultSet opt, naive;
   ASSERT_EQ(q::execute(&opt, p, po, g, msg), LAGRAPH_OK) << msg;
@@ -229,15 +241,17 @@ TEST(QueryCountChain, DirectedChainsMatchEnumeration) {
       // Walks through the data graph's self-loop 4->4.
       "MATCH (a)-[]->(b)-[]->(c) WHERE b = 4 RETURN COUNT(*)",
       "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE a = 4 RETURN COUNT(*)",
+      // '<>' between the walk's final variable and a pinned one: a pinned
+      // start, a pinned end the walk turns away from, a pinned middle.
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 AND a <> c RETURN COUNT(*)",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE c = 0 AND c <> a RETURN COUNT(*)",
+      "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE c = 2 AND c <> d "
+      "RETURN COUNT(*)",
   };
   // With the cached A^T (push over A^T) and without it (pull over A).
   for (const bool cached : {true, false}) {
-    qt::QueryScenario sc;
-    sc.n = 7;
-    sc.directed = true;
-    for (const auto &e : kCountEdges) sc.edges.emplace_back(e.first, e.second);
-    const auto g = qt::build_graph(sc, cached);
-    for (const char *text : cases) expect_count_plan(g, text, true);
+    const auto g = count_graph(/*directed=*/true, cached);
+    for (const char *text : cases) expect_plan(g, text, Finish::count);
   }
 }
 
@@ -249,8 +263,66 @@ TEST(QueryCountChain, EitherArcChainsOnAnUndirectedGraph) {
            "MATCH (a)-[]-(b)-[]-(c)-[]-(d) WHERE a = 1 RETURN COUNT(*)",
            "MATCH (a)-[]->(b)-[]-(c)<-[]-(d) WHERE d = 4 RETURN COUNT(*)",
            "MATCH (a)-[]-(b) WHERE a.out >= 3 RETURN COUNT(*)",
+           "MATCH (a)-[]-(b)-[]-(c) WHERE a = 4 AND a <> c RETURN COUNT(*)",
        }) {
-    expect_count_plan(g, text, true);
+    expect_plan(g, text, Finish::count);
+  }
+}
+
+TEST(QueryCountChain, ProjectionChainsMatchEnumeration) {
+  const char *directed[] = {
+      // The only variable, and either end of a path, pinned or not.
+      "MATCH (a) RETURN a",
+      "MATCH (a) WHERE a = 2 RETURN a",
+      "MATCH (a) WHERE a.out >= 2 RETURN a LIMIT 2",
+      "MATCH (a)-[]->(b) RETURN b",
+      "MATCH (a)-[]->(b) RETURN a",
+      "MATCH (a)-[]->(b) WHERE a = 0 RETURN b",
+      "MATCH (a)-[]->(b) WHERE a = 0 RETURN a",
+      "MATCH (a)-[]->(b)-[]->(c) RETURN c",
+      "MATCH (a)-[]->(b)-[]->(c) RETURN a",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 RETURN c",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 RETURN a",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE c = 2 RETURN c",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE c = 2 RETURN a",
+      "MATCH (a)<-[]-(b)-[]->(c)<-[]-(d) WHERE b = 1 RETURN d",
+      "MATCH (a)-[]->(b), (c)-[]->(b) WHERE c = 0 RETURN a",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a.out >= 2 AND c.in < 3 RETURN c",
+      // LIMIT 0, and LIMITs inside one index's run: the bag of c is
+      // 0 0 1 1 2 2 2 2 …, of a 0 0 0 1 1 1 ….
+      "MATCH (a)-[]->(b)-[]->(c) RETURN c LIMIT 0",
+      "MATCH (a)-[]->(b)-[]->(c) RETURN c LIMIT 3",
+      "MATCH (a)-[]->(b)-[]->(c) RETURN c LIMIT 5",
+      "MATCH (a)-[]->(b)-[]->(c) RETURN a LIMIT 4",
+      // '<>' against a pinned start (0->1->0 returns to it), a pinned
+      // middle, a conflicting pin and an out-of-range pin.
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 AND a <> c RETURN c",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 1 AND c <> a RETURN c LIMIT 1",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE c = 0 AND a <> c RETURN a",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE b = 0 AND b <> c RETURN c",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 3 AND b = 0 AND a <> c "
+      "AND b <> c RETURN c",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 AND a = 1 AND a <> c RETURN c",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 99 AND a <> c RETURN c",
+      // Walks through the self-loop 4->4.
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 4 RETURN c",
+      "MATCH (a)-[]->(b)-[]->(c) WHERE b = 4 AND b <> c RETURN c",
+      "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE a = 4 AND a <> d RETURN d",
+  };
+  const char *undirected[] = {
+      "MATCH (a)-[]-(b) WHERE a = 0 RETURN b",
+      "MATCH (a)-[]-(b)-[]-(c) WHERE b = 2 RETURN a LIMIT 4",
+      "MATCH (a)-[]-(b)-[]-(c) WHERE a = 0 AND a <> c RETURN c",
+      "MATCH (a)-[]-(b)-[]-(c) WHERE a = 4 AND a <> c RETURN c LIMIT 3",
+      "MATCH (a)-[]->(b)-[]-(c)<-[]-(d) WHERE d = 4 AND d <> a RETURN a",
+      "MATCH (a) WHERE a.out >= 3 RETURN a",
+  };
+  for (const bool cached : {true, false}) {
+    const auto g = count_graph(/*directed=*/true, cached);
+    for (const char *text : directed) expect_plan(g, text, Finish::rows);
+    const auto u = count_graph(/*directed=*/false, cached);
+    for (const char *text : directed) expect_plan(u, text, Finish::rows);
+    for (const char *text : undirected) expect_plan(u, text, Finish::rows);
   }
 }
 
@@ -262,8 +334,11 @@ TEST(QueryCountChain, OtherShapesStillEnumerate) {
            // Repeated variable pairs.
            "MATCH (a)-[]->(b), (b)-[]->(a) RETURN COUNT(*)",
            "MATCH (a)-[]->(b), (a)-[]->(b), (c)-[]->(d) RETURN COUNT(*)",
-           // An inequality.
+           // Inequalities that do not pair the walk's end with a pin.
            "MATCH (a)-[]->(b)-[]->(c) WHERE a <> c RETURN COUNT(*)",
+           "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 AND a <> b RETURN c",
+           "MATCH (a)-[]->(b)-[]->(c) WHERE b = 0 AND a <> c RETURN c",
+           "MATCH (a)-[]->(b) WHERE a = 0 AND b <> b RETURN b",
            // Either-arc edge on a directed graph (A ∪ A^T is not A).
            "MATCH (a)-[]-(b)-[]->(c) WHERE c = 2 RETURN COUNT(*)",
            // A pattern self-loop.
@@ -273,10 +348,17 @@ TEST(QueryCountChain, OtherShapesStillEnumerate) {
            "MATCH (a)-[]->(b), (a)-[]->(c), (a)-[]->(d) RETURN COUNT(*)",
            "MATCH (a)-[]->(b), (c)-[]->(d) RETURN COUNT(*)",
            "MATCH (a)-[]->(b), (c) RETURN COUNT(*)",
-           // Projections.
-           "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 RETURN c",
+           // Projections of a middle variable, of two columns, of a cycle
+           // and of a star.
+           "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 RETURN b",
+           "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 RETURN a, c",
+           "MATCH (a)-[]->(b)-[]->(c) WHERE a = 0 RETURN c, c",
+           "MATCH (a)-[]->(b)-[]->(c)-[]->(a) RETURN a",
+           "MATCH (a)-[]->(b), (a)-[]->(c), (a)-[]->(d) RETURN b",
+           // Either-arc projection on a directed graph.
+           "MATCH (a)-[]-(b) WHERE a = 0 RETURN b",
        }) {
-    expect_count_plan(g, text, false);
+    expect_plan(g, text, Finish::enumerate);
   }
 }
 
@@ -290,36 +372,51 @@ TEST(QueryCountChain, ExecuteRejectsAnEitherArcChainOnADirectedGraph) {
   ASSERT_EQ(q::parse(&p, "MATCH (a)-[]-(b) RETURN COUNT(*)", msg), LAGRAPH_OK);
   q::QueryPlan plan;
   ASSERT_EQ(q::compile(&plan, p, undirected, true, msg), LAGRAPH_OK) << msg;
-  ASSERT_TRUE(plan.count_chain);
+  ASSERT_TRUE(plan.chain());
   q::ResultSet rs;
   EXPECT_EQ(q::execute(&rs, p, plan, directed, msg), LAGRAPH_INVALID_VALUE);
 }
 
-TEST(QueryCountChain, HubPinnedThreeHopCountIsOneProductPerEdge) {
-  // Kron scale 10, snapshot-style cached A^T. The top in-degree hub has
-  // the most 3-hop walks into it; enumeration would visit every one.
+namespace {
+
+// Kron scale 10 with a snapshot-style cached A^T, and its stored arcs.
+lagraph::Graph<double> kron10(std::vector<std::pair<Index, Index>> *arcs) {
   const auto el = gen::kronecker(10, 8, 42);
   lagraph::Graph<double> g;
   char msg[LAGRAPH_MSG_LEN];
-  ASSERT_EQ(lagraph::make_graph(g, gen::to_matrix<double>(el),
+  EXPECT_EQ(lagraph::make_graph(g, gen::to_matrix<double>(el),
                                 lagraph::Kind::adjacency_directed, msg),
             LAGRAPH_OK)
       << msg;
   g.a.finalize();
-  ASSERT_EQ(lagraph::property_at(g, msg), LAGRAPH_OK) << msg;
+  EXPECT_EQ(lagraph::property_at(g, msg), LAGRAPH_OK) << msg;
   g.at->finalize();
+  for (Index i = 0; i < g.a.nrows(); ++i) {
+    g.a.for_each_in_row(i, [&](Index j, const double &) {
+      arcs->emplace_back(i, j);
+    });
+  }
+  return g;
+}
+
+std::uint64_t push_pull_calls() {
+  return grb::stats().push_calls.load() + grb::stats().pull_calls.load();
+}
+
+}  // namespace
+
+TEST(QueryCountChain, HubPinnedThreeHopCountIsOneProductPerEdge) {
+  // The top in-degree hub has the most 3-hop walks into it; enumeration
+  // would visit every one.
+  std::vector<std::pair<Index, Index>> arcs;
+  const auto g = kron10(&arcs);
   const Index n = g.a.nrows();
+  char msg[LAGRAPH_MSG_LEN];
 
   // Reference by plain loops over the stored arcs: walks[v] = number of
   // walks of the current length ending at v.
-  std::vector<std::pair<Index, Index>> arcs;
   std::vector<std::uint64_t> indeg(n, 0);
-  for (Index i = 0; i < n; ++i) {
-    g.a.for_each_in_row(i, [&](Index j, const double &) {
-      arcs.emplace_back(i, j);
-      ++indeg[j];
-    });
-  }
+  for (const auto &[i, j] : arcs) ++indeg[j];
   const Index hub = static_cast<Index>(
       std::max_element(indeg.begin(), indeg.end()) - indeg.begin());
   std::vector<std::uint64_t> walks(n, 1);
@@ -340,16 +437,60 @@ TEST(QueryCountChain, HubPinnedThreeHopCountIsOneProductPerEdge) {
   ASSERT_EQ(q::parse(&p, text, msg), LAGRAPH_OK) << msg;
   q::QueryPlan plan;
   ASSERT_EQ(q::compile(&plan, p, g, /*optimize=*/true, msg), LAGRAPH_OK);
-  const auto calls = [] {
-    return grb::stats().push_calls.load() + grb::stats().pull_calls.load();
-  };
-  const std::uint64_t before = calls();
+  const std::uint64_t before = push_pull_calls();
   q::ResultSet rs;
   ASSERT_EQ(q::execute(&rs, p, plan, g, msg), LAGRAPH_OK) << msg;
-  EXPECT_EQ(calls() - before, 3u);
+  EXPECT_EQ(push_pull_calls() - before, 3u);
   ASSERT_EQ(rs.rows(), 1u);
   EXPECT_EQ(static_cast<std::uint64_t>(rs.data[0][0]), expected);
   EXPECT_GT(expected, 100000u);  // enumeration would walk all of these
+}
+
+TEST(QueryCountChain, HubPinnedTwoHopRowsAreOneProductPerEdge) {
+  // The rows shape of the engine benchmark, pinned at the top out-degree
+  // hub: the projection chain reads the sorted bag of c off the last walk
+  // vector, where enumeration would build and sort a row per 2-walk.
+  std::vector<std::pair<Index, Index>> arcs;
+  const auto g = kron10(&arcs);
+  const Index n = g.a.nrows();
+  char msg[LAGRAPH_MSG_LEN];
+
+  // Reference by plain loops: walks[v] = number of 2-walks hub -> b -> v.
+  std::vector<std::uint64_t> outdeg(n, 0);
+  for (const auto &[i, j] : arcs) ++outdeg[i];
+  const Index hub = static_cast<Index>(
+      std::max_element(outdeg.begin(), outdeg.end()) - outdeg.begin());
+  std::vector<std::uint64_t> walks(n, 0);
+  walks[hub] = 1;
+  for (int hop = 0; hop < 2; ++hop) {
+    std::vector<std::uint64_t> next(n, 0);
+    for (const auto &[i, j] : arcs) next[j] += walks[i];
+    walks = std::move(next);
+  }
+  EXPECT_GT(walks[hub], 0u);  // walks back to the pin, which a <> c drops
+  walks[hub] = 0;
+  std::vector<std::int64_t> expected;
+  for (Index v = 0; v < n; ++v) {
+    for (std::uint64_t k = 0; k < walks[v] && expected.size() < 100; ++k) {
+      expected.push_back(static_cast<std::int64_t>(v));
+    }
+  }
+  ASSERT_EQ(expected.size(), 100u);  // the LIMIT cuts the bag
+
+  const std::string text = "MATCH (a)-[]->(b)-[]->(c) WHERE a = " +
+                           std::to_string(hub) +
+                           " AND a <> c RETURN c LIMIT 100";
+  q::Query p;
+  ASSERT_EQ(q::parse(&p, text, msg), LAGRAPH_OK) << msg;
+  q::QueryPlan plan;
+  ASSERT_EQ(q::compile(&plan, p, g, /*optimize=*/true, msg), LAGRAPH_OK);
+  EXPECT_EQ(plan.finish, q::QueryPlan::Finish::rows);
+  const std::uint64_t before = push_pull_calls();
+  q::ResultSet rs;
+  ASSERT_EQ(q::execute(&rs, p, plan, g, msg), LAGRAPH_OK) << msg;
+  EXPECT_EQ(push_pull_calls() - before, 2u);
+  ASSERT_EQ(rs.columns, (std::vector<std::string>{"c"}));
+  EXPECT_EQ(rs.data[0], expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,9 +560,10 @@ TEST(QueryDiff, BudgetedFuzzAgainstOracle) {
   EXPECT_EQ(rep.scenarios, 400u);
   EXPECT_EQ(rep.instances,
             400u * 2 * grb::testing::sweep_configs().size());
-  // The oracle gated both optimized paths, not just one of them.
+  // The oracle gated every optimized path, not just one of them.
   EXPECT_GT(rep.count_chain, 0u);
-  EXPECT_LT(rep.count_chain, rep.scenarios);
+  EXPECT_GT(rep.projection_chain, 0u);
+  EXPECT_LT(rep.count_chain + rep.projection_chain, rep.scenarios);
 }
 
 TEST(QueryDiff, ScenarioSerializationRoundTrips) {

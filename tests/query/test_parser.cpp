@@ -3,6 +3,7 @@
 // LAGRAPH_INVALID_VALUE with a position-bearing message).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "query/query.hpp"
@@ -81,6 +82,15 @@ TEST(QueryParser, WherePredicatesAndLimit) {
   EXPECT_FALSE(p.degs[1].out_degree);
   EXPECT_EQ(p.degs[1].cmp, q::CmpOp::lt);
   EXPECT_EQ(p.limit, 10);
+  // The largest int64 parses everywhere an integer goes.
+  q::Query big = must_parse(
+      "MATCH (x)-[]->(y) WHERE x = 9223372036854775807 AND "
+      "y.out <= 9223372036854775807 RETURN y LIMIT 9223372036854775807");
+  ASSERT_EQ(big.pins.size(), 1u);
+  EXPECT_EQ(big.pins[0].node, INT64_MAX);
+  ASSERT_EQ(big.degs.size(), 1u);
+  EXPECT_EQ(big.degs[0].bound, INT64_MAX);
+  EXPECT_EQ(big.limit, INT64_MAX);
 }
 
 TEST(QueryParser, KeywordsAreCaseInsensitive) {
@@ -111,6 +121,15 @@ TEST(QueryParser, ErrorsCarryStatusAndContext) {
   must_fail("MATCH (a)-[]->(b) WHERE z = 1 RETURN a");  // unbound WHERE var
   must_fail("MATCH (a)-[]->(b) RETURN a trailing");     // trailing input
   must_fail("MATCH (a)-[]->(b) WHERE a.sideways > 1 RETURN a");
+  // Integers past int64 fail instead of wrapping (2^64 + 1 would pin node
+  // 1 and act as LIMIT 1; 2^63 as LIMIT would mean no limit).
+  must_fail("MATCH (a)-[]->(b) WHERE a = 18446744073709551617 RETURN a");
+  must_fail("MATCH (a)-[]->(b) WHERE a = 92233720368547758070 RETURN a");
+  must_fail("MATCH (a)-[]->(b) WHERE a = 9223372036854775808 RETURN a");
+  must_fail("MATCH (a)-[]->(b) RETURN a LIMIT 18446744073709551617");
+  must_fail("MATCH (a)-[]->(b) RETURN a LIMIT 9223372036854775808");
+  must_fail("MATCH (a)-[]->(b) WHERE a.out >= 18446744073709551617 RETURN a");
+  must_fail("MATCH (a)-[]->(b) WHERE a.in < 9223372036854775808 RETURN a");
   // Messages carry the failure position and a reason.
   const std::string m = must_fail("MATCH (a)-[]->(b) RETURN z");
   EXPECT_NE(m.find("offset"), std::string::npos) << m;

@@ -1,8 +1,9 @@
 // Multi-op optimizer unit tests: the compiled pruning schedule itself —
 // edge-chain reordering away from textual order, mask pushdown into the
 // traversal ops, cached-property CSE, the naive baseline's shape, the
-// count-chain schedule that replaces pruning for COUNT(*) paths, and the
-// EXPLAIN renderings the CLI and the request log surface.
+// walk-chain schedule that replaces pruning for COUNT(*) and one-column
+// projections of paths, and the EXPLAIN renderings the CLI and the request
+// log surface.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -72,10 +73,11 @@ int masked_prunes(const q::QueryPlan &plan) {
   return k;
 }
 
-// A projection, so the optimized plan prunes and enumerates; the same
-// pattern as COUNT(*) compiles to a count chain instead.
+// A projection of a middle variable, so the optimized plan prunes and
+// enumerates; the same pattern as COUNT(*), or returning an end variable,
+// compiles to a walk chain instead.
 const char *kChain =
-    "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE d = 63 RETURN a";
+    "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE d = 63 RETURN b";
 const char *kCountChain =
     "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE d = 63 RETURN COUNT(*)";
 
@@ -192,7 +194,7 @@ TEST(QueryPlan, CountChainWalksFromThePinWithoutPruning) {
   auto g = funnel_graph(64, /*cache_properties=*/true);
   q::Query p = parse_ok(kCountChain);
   q::QueryPlan plan = compile_ok(p, g, /*optimize=*/true);
-  EXPECT_TRUE(plan.count_chain);
+  EXPECT_EQ(plan.finish, q::QueryPlan::Finish::count);
   // One seed (the pinned start; unconstrained variables are never read),
   // then one product per edge from d back to a, every one over the cached
   // A^T because each arc points away from the next variable.
@@ -218,7 +220,7 @@ TEST(QueryPlan, CountChainWalksFromThePinWithoutPruning) {
   }
   // The naive plan keeps prune + enumerate.
   q::QueryPlan naive = compile_ok(p, g, /*optimize=*/false);
-  EXPECT_FALSE(naive.count_chain);
+  EXPECT_FALSE(naive.chain());
   EXPECT_EQ(prune_edge_sequence(naive), (std::vector<int>{0, 1, 2}));
 }
 
@@ -230,7 +232,7 @@ TEST(QueryPlan, CountChainStartsAtTheEndNearerThePinAndMasksFilters) {
       "MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE b = 3 AND d.in >= 1 "
       "RETURN COUNT(*)");
   q::QueryPlan plan = compile_ok(p, g, true);
-  ASSERT_TRUE(plan.count_chain);
+  ASSERT_EQ(plan.finish, q::QueryPlan::Finish::count);
   EXPECT_EQ(plan.enum_order, (std::vector<int>{0, 1, 2, 3}));
   std::vector<bool> masked;
   for (const auto &s : plan.steps) {
@@ -265,7 +267,62 @@ TEST(QueryPlan, CountChainExplainShowsTheProducts) {
                       "order=3,2,1,0"),
             std::string::npos)
       << line;
-  EXPECT_LE(line.size(), 95u);  // fits RequestRecord::plan
+}
+
+TEST(QueryPlan, ProjectionChainWalksTowardTheReturnedVariable) {
+  auto g = funnel_graph(64, true);
+  // The pin is at d, but the walk must end at the returned a, so it starts
+  // at d; returning d itself reverses it, starting from the unpinned a.
+  for (const auto &[ret, walk] :
+       {std::pair<const char *, std::vector<int>>{"a", {3, 2, 1, 0}},
+        {"d", {0, 1, 2, 3}}}) {
+    q::Query p = parse_ok(
+        std::string("MATCH (a)-[]->(b)-[]->(c)-[]->(d) WHERE d = 63 RETURN ") +
+        ret);
+    q::QueryPlan plan = compile_ok(p, g, true);
+    EXPECT_EQ(plan.finish, q::QueryPlan::Finish::rows) << ret;
+    EXPECT_EQ(plan.enum_order, walk) << ret;
+    EXPECT_TRUE(prune_edge_sequence(plan).empty()) << ret;
+  }
+  // '<>' only between the returned end and a pinned variable.
+  EXPECT_TRUE(compile_ok(parse_ok("MATCH (a)-[]->(b)-[]->(c) WHERE a = 3 "
+                                  "AND a <> c RETURN c"),
+                         g, true)
+                  .chain());
+  EXPECT_FALSE(compile_ok(parse_ok("MATCH (a)-[]->(b)-[]->(c) WHERE a = 3 "
+                                   "AND a <> c RETURN a"),
+                          g, true)
+                   .chain());
+  EXPECT_FALSE(compile_ok(parse_ok("MATCH (a)-[]->(b)-[]->(c) WHERE c = 3 "
+                                   "AND a <> c RETURN c"),
+                          g, true)
+                   .chain());
+}
+
+TEST(QueryPlan, ProjectionChainExplainShowsTheFinish) {
+  auto g = funnel_graph(64, true);
+  q::Query p = parse_ok(
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 3 AND a <> c RETURN c LIMIT 100");
+  q::QueryPlan plan = compile_ok(p, g, true);
+  const std::string e = plan.explain(p);
+  EXPECT_NE(e.find("walk order: a b c\nrows := c by walk count, ascending, "
+                   "minus pinned a, LIMIT 100, no enumeration\n"),
+            std::string::npos)
+      << e;
+  EXPECT_EQ(e.find("prune"), std::string::npos) << e;
+  const std::string line = plan.explain_line();
+  EXPECT_NE(line.find("cypher[opt] vars=3 rows=chain hops=2 masked=0 "
+                      "order=0,1,2"),
+            std::string::npos)
+      << line;
+  // A count chain names its exclusion too.
+  q::Query pc = parse_ok(
+      "MATCH (a)-[]->(b)-[]->(c) WHERE a = 3 AND a <> c RETURN COUNT(*)");
+  EXPECT_NE(compile_ok(pc, g, true)
+                .explain(pc)
+                .find("count := reduce(plus.uint64) over c, minus pinned a, "
+                      "no enumeration"),
+            std::string::npos);
 }
 
 TEST(QueryPlan, CompileRejectsNullAndEmpty) {

@@ -517,10 +517,12 @@ int run_query_fuzz(double seconds, std::uint64_t ops, std::uint64_t seed,
               static_cast<unsigned long long>(rep.instances),
               static_cast<unsigned long long>(seed),
               static_cast<unsigned long long>(seed + rep.scenarios - 1));
-  std::printf("fuzz: optimized plans: %llu count chain, %llu enumerated\n",
+  std::printf("fuzz: optimized plans: %llu count chain, %llu projection "
+              "chain, %llu enumerated\n",
               static_cast<unsigned long long>(rep.count_chain),
-              static_cast<unsigned long long>(rep.scenarios -
-                                              rep.count_chain));
+              static_cast<unsigned long long>(rep.projection_chain),
+              static_cast<unsigned long long>(
+                  rep.scenarios - rep.count_chain - rep.projection_chain));
   if (!rep.ok) {
     std::fprintf(stderr,
                  "fuzz: MISMATCH at seed %llu (rerun: lagraph_cli fuzz "
