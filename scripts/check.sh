@@ -30,10 +30,11 @@
 #        QUERY_FUZZ_OPS fresh pattern-query scenarios (default 10000)
 #        bit-exactly against the tuple-at-a-time oracle across the full
 #        config sweep in both compilation modes,
-#   2b''. a TSan leg: tests_query_stress rebuilt with
+#   2b''. a TSan leg: tests_query_stress and tests_trace rebuilt with
 #        -DLAGRAPH_SANITIZE=thread in a side build tree (BUILD_DIR-tsan)
 #        and run under the sanitizer — concurrent cypher traffic against a
-#        mutating ingest::Writer (SKIP_TSAN=1 skips),
+#        mutating ingest::Writer, and span writers against a concurrent
+#        collect() over the per-thread rings (SKIP_TSAN=1 skips),
 #   2b'''. an ASan leg: tests_service and tests_telemetry rebuilt with
 #        -DLAGRAPH_SANITIZE=address in a side build tree (BUILD_DIR-asan)
 #        and run under the sanitizer — the engine's request path (queue,
@@ -48,7 +49,9 @@
 #       Dijkstra, PageRank within 1e-12, BFS levels, cypher results, the
 #       write-log replay),
 #   3. a trace smoke: lagraph_cli trace bfs on a generated kron graph, with
-#      the emitted Chrome trace-event JSON validated by python3,
+#      the emitted Chrome trace-event JSON validated by python3 — no span
+#      carries a threads argument, every BFS level carries its traversal
+#      plan's positive cost, and every mxv/vxm/fused product carries 0,
 #   3b. a telemetry smoke: lagraph_cli serve --telemetry-port 0 on a
 #       generated graph, the printed ephemeral port scraped over HTTP —
 #       /healthz must answer "ok" and /metrics must expose a non-zero
@@ -68,7 +71,7 @@
 #                      never fail the gate (sub-ms cells
 #                      are noise)                        (default: 0.5)
 #   SKIP_SMOKE=1       skip step 4, the perf smoke
-#   SKIP_TSAN=1        skip the TSan query-stress leg
+#   SKIP_TSAN=1        skip the TSan leg
 #   QUERY_FUZZ_OPS     scenario budget for the query fuzz   (default: 10000)
 #
 # Args:
@@ -153,17 +156,21 @@ step "query fuzz: corpus replay + $QUERY_FUZZ_OPS scenarios (seed $FUZZ_SEED)"
     --ops "$QUERY_FUZZ_OPS" --seed "$FUZZ_SEED"
 
 if [[ "${SKIP_TSAN:-0}" == "1" ]]; then
-  step "TSan query stress: skipped (SKIP_TSAN=1)"
+  step "TSan: skipped (SKIP_TSAN=1)"
 else
-  step "TSan query stress: tests_query_stress under -DLAGRAPH_SANITIZE=thread"
-  # Rebuilds only the query-stress target (plus its library closure) in a
-  # dedicated TSan tree and runs the concurrent-cypher-vs-mutating-writer
-  # suite under the sanitizer. This is the race gate for the new
-  # Engine::cypher path and the snapshot handoff it rides on.
+  step "TSan: tests_query_stress + tests_trace under -DLAGRAPH_SANITIZE=thread"
+  # Rebuilds only these two targets (plus their library closure) in a
+  # dedicated TSan tree and runs them under the sanitizer: the
+  # concurrent-cypher-vs-mutating-writer suite is the race gate for the
+  # Engine::cypher path and the snapshot handoff it rides on; tests_trace
+  # races span writers against collect() and reset() over the per-thread
+  # rings.
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DLAGRAPH_SANITIZE=thread >/dev/null
-  cmake --build "$TSAN_DIR" -j"$JOBS" --target tests_query_stress >/dev/null
+  cmake --build "$TSAN_DIR" -j"$JOBS" --target tests_query_stress tests_trace \
+      >/dev/null
   "$TSAN_DIR"/tests/query/tests_query_stress
+  "$TSAN_DIR"/tests/grb/tests_trace
 fi
 
 step "ASan request path: tests_service + tests_telemetry under -DLAGRAPH_SANITIZE=address"
@@ -211,7 +218,19 @@ for e in levels:
     assert e["ph"] == "X", e
     assert "frontier" in e["args"], e
     assert e["args"]["direction"] in ("push", "pull"), e
-print(f"trace smoke OK: {len(events)} events, {len(levels)} bfs levels")
+    # A level's direction is weighed by the traversal cost model.
+    assert e["args"]["predicted_cost"] > 0, e
+# Spans report the plan that ran: no team guess, and no cost for products
+# whose direction their descriptor fixed.
+for e in events:
+    assert "threads" not in e["args"], e
+products = [e for e in events
+            if e["name"] in ("mxv", "vxm", "fused_mxv_apply")]
+assert products, "trace has no mxv/vxm/fused_mxv_apply spans"
+for e in products:
+    assert e["args"]["predicted_cost"] == 0, e
+print(f"trace smoke OK: {len(events)} events, {len(levels)} bfs levels, "
+      f"{len(products)} products")
 EOF
 rm -f "$trace_json"
 

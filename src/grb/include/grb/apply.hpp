@@ -33,7 +33,6 @@ void apply(Vector<W> &w, const MaskT &mask, Accum accum, F f,
   trace::ScopedSpan sp(trace::SpanKind::apply);
   sp.set_in_nvals(u.nvals());
   const int parts = plan::chunk_parts(u.nvals(), 2);
-  sp.set_threads(parts);
   Vector<W> t(n);
   if (u.format() == Vector<U>::Format::sparse) {
     auto ui = u.sparse_indices();
@@ -166,7 +165,6 @@ void select(Vector<W> &w, const MaskT &mask, Accum accum, F f,
   sp.set_in_nvals(u.nvals());
   const U th = static_cast<U>(thunk);
   const int parts = plan::chunk_parts(u.nvals(), 2);
-  sp.set_threads(parts);
   Vector<W> t(n);
   if (u.format() == Vector<U>::Format::sparse) {
     auto ui = u.sparse_indices();
@@ -223,7 +221,6 @@ void select(Matrix<W> &c, const MaskT &mask, Accum accum, F f,
   const U th = static_cast<U>(thunk);
 
   const int parts = plan::chunk_parts(a.nvals(), 2);
-  sp.set_threads(parts);
   if (parts == 1 && a.format() == Matrix<U>::Format::csr) {
     // Serial CSR fast path: one width dispatch, then a flat filter over the
     // typed spans (no per-row finish() and dispatch).
@@ -320,8 +317,8 @@ void vxm_select_range(Vector<W> &w, Vector<W> &pruned, SR sr,
                           "vxm_select_range: w/A dimension mismatch");
   detail::check_same_size(pruned.size(), out_size,
                           "vxm_select_range: pruned/A dimension mismatch");
-  const plan::ExecPlan pl = detail::plan_fused_op<SR>(
-      plan::OpKind::vxm, a, u, no_mask, d, out_size, d.transpose_a);
+  const plan::ExecPlan pl =
+      detail::plan_product(plan::OpKind::vxm, d.transpose_a, u, no_mask, d);
 
   // The one-sweep path adopts the product into w verbatim: same value type
   // (signature) and no mask, so the only extra precondition is the

@@ -38,9 +38,6 @@ Vector<Z> ewise_vec(Op op, const Vector<U> &u, const Vector<V> &v) {
   // the bitmap side; Config::force_format overrides both ways.
   plan::OpDesc od;
   od.op = UnionMode ? plan::OpKind::ewise_add : plan::OpKind::ewise_mult;
-  od.out_size = n;
-  od.u_nvals = u.nvals();
-  od.v_nvals = v.nvals();
   od.u_format = u.format() == Vector<U>::Format::bitmap ? 1 : 0;
   od.v_format = v.format() == Vector<V>::Format::bitmap ? 1 : 0;
   const auto pl = plan::make_plan(od);
@@ -208,14 +205,7 @@ Matrix<Z> ewise_mat(Op op, const Matrix<U> &u, const Matrix<V> &v) {
   // Rows are independent merges: chunk them by combined nnz, emit into
   // per-chunk buffers, stitch the row pointer from per-chunk row lengths.
   // Matrix operands are walked via for_each_in_row in whatever format they
-  // hold; the plan only sizes the thread team (u_format = -1 sentinel).
-  plan::OpDesc od;
-  od.op = UnionMode ? plan::OpKind::ewise_add : plan::OpKind::ewise_mult;
-  od.a_rows = m;
-  od.a_cols = u.ncols();
-  od.u_nvals = u.nvals();
-  od.v_nvals = v.nvals();
-  sp.set_plan(plan::make_plan(od));
+  // hold, so there is nothing to plan.
   const Index total = u.nvals() + v.nvals();
   const int parts = plan::chunk_parts(total, 2);
   std::vector<Index> bounds =

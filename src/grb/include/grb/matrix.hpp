@@ -330,7 +330,6 @@ class Matrix {
             4 * nz + 1024) {
       nthreads = 1;
     }
-    sp.set_threads(nthreads);
     std::vector<Index> count(static_cast<std::size_t>(m_) + 1, 0);
     std::vector<std::size_t> order(nz);
     if (nthreads <= 1) {

@@ -360,9 +360,7 @@ void mxm(Matrix<W> &c, const MaskT &mask, Accum accum, SR sr,
   od.a_rows = a.nrows();
   od.a_cols = a.ncols();
   od.a_nvals = a.nvals();
-  od.b_nvals = b.nvals();
   od.transpose_b = d.transpose_b;
-  od.has_terminal = SR::add_monoid::has_terminal;
   if constexpr (has_mask_v<MaskT>) {
     od.masked = true;
     od.mask_nvals = mask.nvals();
@@ -424,26 +422,8 @@ S mxm_reduce_scalar(ReduceMonoid rm, const MaskT &mask, SR sr,
                   "mxm_reduce_scalar: only the dot (transposed B) form");
   trace::ScopedSpan sp(trace::SpanKind::mxm_reduce);
   sp.set_in_nvals(static_cast<std::uint64_t>(a.nvals()) + b.nvals());
-  // Both operands walk rows via rowptr(); route the CSR materialization
-  // through the planner so hypersparse expansion is counted, never silent.
-  plan::OpDesc od;
-  od.op = plan::OpKind::mxm;
-  od.a_rows = a.nrows();
-  od.a_cols = a.ncols();
-  od.a_nvals = a.nvals();
-  od.b_nvals = b.nvals();
-  od.transpose_b = true;
-  if constexpr (has_mask_v<MaskT>) {
-    od.masked = true;
-    od.mask_nvals = mask.nvals();
-    od.mask_complement = d.mask_complement;
-    od.mask_structural = d.mask_structural;
-  }
-  if constexpr (std::is_same_v<TA, TB>) {
-    od.operands_aliased =
-        static_cast<const void *>(&a) == static_cast<const void *>(&b);
-  }
-  sp.set_plan(plan::make_plan(od));
+  // Both operands walk rows via rowptr(); the CSR materialization goes
+  // through plan::prepare so hypersparse expansion is counted, never silent.
   a.ensure_sorted();
   b.ensure_sorted();
   plan::prepare(a, plan::MatFormat::csr);

@@ -95,9 +95,8 @@ Vector<Z> push_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
     });
   };
 
-  // Team size: the plan records the a-priori estimate; the final gate runs
-  // the planner's rule (plan::team_size) on the exact scattered work so BFS
-  // tail levels stay on the serial schedule even when the estimate was off.
+  // Team size: the planner's rule (plan::team_size) on the exact scattered
+  // work, so BFS tail levels stay on the serial schedule.
   int nthreads = effective_threads();
   if (nthreads > 1) {
     Index total_work = 0;
@@ -341,25 +340,20 @@ Vector<Z> dot_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
   });
 }
 
-/// Shared planning step for vxm/mxv: describe the op, get the plan, and
-/// prepare the probed operand for a pull. The kernels below assert what
-/// this promised.
-template <typename SR, typename AT, typename U, typename MaskT>
-plan::ExecPlan plan_mxv_op(plan::OpKind op, const Matrix<AT> &a,
-                           const Vector<U> &u, const MaskT &mask,
-                           const Descriptor &d, Index out_size) {
+/// Shared planning step for vxm/mxv and the fused entry points that wrap
+/// them: `op` and `transpose_a` fix the direction (mxv without transpose =
+/// pull dot, with transpose = push scatter; vxm the other way round), and a
+/// pull gets its probed operand prepared. The kernels assert what this
+/// promised.
+template <typename U, typename MaskT>
+plan::ExecPlan plan_product(plan::OpKind op, bool transpose_a,
+                            const Vector<U> &u, const MaskT &,
+                            const Descriptor &d) {
   plan::OpDesc od;
   od.op = op;
-  od.out_size = out_size;
-  od.a_rows = a.nrows();
-  od.a_cols = a.ncols();
-  od.a_nvals = a.nvals();
-  od.u_nvals = u.nvals();
-  od.transpose_a = d.transpose_a;
-  od.has_terminal = SR::add_monoid::has_terminal;
+  od.transpose_a = transpose_a;
   if constexpr (has_mask_v<MaskT>) {
     od.masked = true;
-    od.mask_nvals = mask.nvals();
     od.mask_complement = d.mask_complement;
     od.mask_structural = d.mask_structural;
   }
@@ -384,8 +378,7 @@ Vector<typename SR::value_type> vxm_product(SR sr, const Vector<U> &u,
     check_same_size(u.size(), a.nrows(), "vxm: u/A dimension mismatch");
     check_vector_mask(mask, a.ncols());
     check_same_size(w_size, a.ncols(), "vxm: w/A dimension mismatch");
-    const auto pl =
-        plan_mxv_op<SR>(plan::OpKind::vxm, a, u, mask, d, a.ncols());
+    const auto pl = plan_product(plan::OpKind::vxm, false, u, mask, d);
     sp.set_plan(pl);
     // w(j) = ⊕_k u(k) ⊗ a(k,j): first operand u (row vector, coords (0,k)),
     // second operand a(k,j).
@@ -399,7 +392,7 @@ Vector<typename SR::value_type> vxm_product(SR sr, const Vector<U> &u,
   check_same_size(u.size(), a.ncols(), "vxm: u/Aᵀ dimension mismatch");
   check_vector_mask(mask, a.nrows());
   check_same_size(w_size, a.nrows(), "vxm: w/Aᵀ dimension mismatch");
-  const auto pl = plan_mxv_op<SR>(plan::OpKind::vxm, a, u, mask, d, a.nrows());
+  const auto pl = plan_product(plan::OpKind::vxm, true, u, mask, d);
   sp.set_plan(pl);
   // w(i) = ⊕_k u(k) ⊗ aᵀ(k,i) = ⊕_k u(k) ⊗ a(i,k): dot products over rows.
   return dot_kernel<Z>(
@@ -423,8 +416,7 @@ Vector<typename SR::value_type> mxv_product(SR sr, const Matrix<AT> &a,
     check_same_size(u.size(), a.ncols(), "mxv: u/A dimension mismatch");
     check_vector_mask(mask, a.nrows());
     check_same_size(w_size, a.nrows(), "mxv: w/A dimension mismatch");
-    const auto pl =
-        plan_mxv_op<SR>(plan::OpKind::mxv, a, u, mask, d, a.nrows());
+    const auto pl = plan_product(plan::OpKind::mxv, false, u, mask, d);
     sp.set_plan(pl);
     // w(i) = ⊕_k a(i,k) ⊗ u(k): first operand is the matrix element.
     return dot_kernel<Z>(
@@ -437,7 +429,7 @@ Vector<typename SR::value_type> mxv_product(SR sr, const Matrix<AT> &a,
   check_same_size(u.size(), a.nrows(), "mxv: u/Aᵀ dimension mismatch");
   check_vector_mask(mask, a.ncols());
   check_same_size(w_size, a.ncols(), "mxv: w/Aᵀ dimension mismatch");
-  const auto pl = plan_mxv_op<SR>(plan::OpKind::mxv, a, u, mask, d, a.ncols());
+  const auto pl = plan_product(plan::OpKind::mxv, true, u, mask, d);
   sp.set_plan(pl);
   // w(j) = ⊕_k aᵀ(j,k) ⊗ u(k) = ⊕_k a(k,j) ⊗ u(k): scatter along rows of A.
   return push_kernel<Z>(
@@ -511,34 +503,6 @@ void stamp_frontier(const Vector<W> &w, Vector<PT> *copy, Vector<LT> *konst,
   if (konst != nullptr) konst->set_bitmap_nvals(ln);
 }
 
-/// Plan a fused entry point as the mxv/vxm product it wraps. `op` and
-/// `transpose_for_plan` encode the product's direction in OpDesc terms (mxv
-/// without transpose = pull dot, with transpose = push scatter).
-template <typename SR, typename AT, typename U, typename MaskT>
-plan::ExecPlan plan_fused_op(plan::OpKind op, const Matrix<AT> &a,
-                             const Vector<U> &u, const MaskT &mask,
-                             const Descriptor &d, Index out_size,
-                             bool transpose_for_plan) {
-  plan::OpDesc od;
-  od.op = op;
-  od.out_size = out_size;
-  od.a_rows = a.nrows();
-  od.a_cols = a.ncols();
-  od.a_nvals = a.nvals();
-  od.u_nvals = u.nvals();
-  od.transpose_a = transpose_for_plan;
-  od.has_terminal = SR::add_monoid::has_terminal;
-  if constexpr (has_mask_v<MaskT>) {
-    od.masked = true;
-    od.mask_nvals = mask.nvals();
-    od.mask_complement = d.mask_complement;
-    od.mask_structural = d.mask_structural;
-  }
-  plan::ExecPlan pl = plan::make_plan(od);
-  if (pl.direction == plan::Direction::pull) plan::prepare(u, pl.u_format);
-  return pl;
-}
-
 /// Shared body of the two fused product+stamp entry points. `pull_form`
 /// selects the product shape: mxv-style masked dots (A ⊕.⊗ u) or vxm-style
 /// scatter (u ⊕.⊗ A). After the product lands in w through the normal
@@ -564,11 +528,9 @@ void fused_product_stamp(bool pull_form, Vector<W> &w,
   check_vector_mask(mask, out_size);
   check_same_size(w.size(), out_size,
                   "fused_mxv_apply: w/A dimension mismatch");
-  // Direction in OpDesc terms: mxv is a pull dot unless transposed; vxm is a
-  // push scatter unless transposed.
+  // Planned as an mxv: a pull dot unless transposed.
   const plan::ExecPlan pl =
-      plan_fused_op<SR>(plan::OpKind::mxv, a, u, mask, d, out_size,
-                        pull_form == d.transpose_a);
+      plan_product(plan::OpKind::mxv, pull_form == d.transpose_a, u, mask, d);
 
   // The single-sweep path needs the assign fast-path preconditions: bitmap
   // stamp targets and a product the output can adopt verbatim (same value

@@ -1,5 +1,5 @@
-// grb/plan.hpp — the execution planner: one cost model for format,
-// direction, and thread-team dispatch across every layer.
+// grb/plan.hpp — the execution planner: the traversal cost model, and the
+// direction and operand formats of every kernel that has a choice to make.
 //
 // The paper's Table III story is about *which* kernel variant runs — push
 // vxm vs bitmap-pull mxv, dot-product mxm on a transposed B, lazy-sort
@@ -10,9 +10,11 @@
 //
 //   OpDesc (shapes, nnz, frontier density, mask, semiring traits)
 //     → make_plan() — cost model + Config overrides + caller hints
-//       → ExecPlan (direction, operand formats, thread-team size)
+//       → ExecPlan (direction, operand formats)
 //         → prepare() — explicit, counted operand conversions
-//           → kernel — a pure executor that asserts its preconditions.
+//           → kernel — a pure executor that asserts its preconditions and
+//             sizes its own team (team_size / chunk_parts) on the exact
+//             work it sees.
 //
 // The unified traversal cost model (one formula replacing the per-algorithm
 // magic constants in BFS/BC/msbfs):
@@ -28,14 +30,17 @@
 // after ~out_size/frontier_nvals probes on average. kPullBias accounts for
 // the constant-factor cost of probing over sequential scatter.
 //
+// Only traversal plans carry costs. An mxv/vxm direction is fixed by the op
+// and its transpose descriptor, so those plans carry the pull probe's format
+// and zero costs; mxm and eWise plans carry formats only.
+//
 // make_plan() is a pure function of its OpDesc and Config: every call plans
 // from the operands in front of it, as each SuiteSparse kernel call does
-// (the per-call choice its burble reports, paper §VI-A). So explain output
-// and a span's predicted cost always describe the op that ran.
+// (the per-call choice its burble reports, paper §VI-A). So a span's plan
+// and predicted cost always describe the op that ran.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "grb/config.hpp"
 #include "grb/parallel.hpp"
@@ -46,17 +51,15 @@ namespace plan {
 
 /// Operation kinds the planner understands. `traversal` is the algorithm-
 /// level push/pull choice (BFS levels, BC sweeps, msbfs groups); the rest
-/// are the grb kernel entry points. The fused single-sweep entry points
-/// (grb::fused_mxv_apply, grb::vxm_select_range) plan as the mxv/vxm they
-/// wrap.
+/// are the grb kernel entry points with a direction or format to fix. The
+/// fused single-sweep entry points (grb::fused_mxv_apply,
+/// grb::vxm_select_range) plan as the mxv/vxm they wrap.
 enum class OpKind : std::uint8_t {
   mxv,
   vxm,
   mxm,
   ewise_add,
   ewise_mult,
-  apply,
-  reduce,
   traversal,
 };
 
@@ -75,10 +78,8 @@ enum class Chosen : std::uint8_t {
   caller_hint,      // an Advanced-mode algorithm forced it
 };
 
-const char *name(OpKind k) noexcept;
 const char *name(Direction d) noexcept;
 const char *name(MatFormat f) noexcept;
-const char *name(VecFormat f) noexcept;
 const char *name(Chosen c) noexcept;
 
 /// Everything the cost model may consult. Callers fill in what their op has;
@@ -89,12 +90,10 @@ struct OpDesc {
   Index a_rows = 0;      // primary matrix operand
   Index a_cols = 0;
   Index a_nvals = 0;
-  Index u_nvals = 0;     // vector operand / frontier nnz
-  Index v_nvals = 0;     // second vector operand (eWise)
-  Index b_nvals = 0;     // second matrix operand (mxm)
+  Index u_nvals = 0;     // frontier nnz
   Index mask_nvals = 0;
   Index pull_candidates = 0;  // traversal: outputs a pull would compute
-  int u_format = -1;     // Vector<T>::Format as int, -1 when n/a
+  int u_format = -1;     // eWise: Vector<T>::Format as int, -1 when n/a
   int v_format = -1;
   bool masked = false;
   bool mask_complement = false;
@@ -110,36 +109,22 @@ struct OpDesc {
 /// The planner's decision. Kernels execute it verbatim and assert the
 /// preconditions it promises (formats already converted by prepare()).
 struct ExecPlan {
-  OpKind op = OpKind::mxv;
   Direction direction = Direction::none;
   MatFormat a_format = MatFormat::keep;
   MatFormat b_format = MatFormat::keep;
   MatFormat mask_format = MatFormat::keep;
   VecFormat u_format = VecFormat::keep;
   VecFormat v_format = VecFormat::keep;
-  bool use_dot = false;  // mxm: dot kernel instead of Gustavson
-  int threads = 1;       // team-size cap (team_size() below)
   Chosen chosen = Chosen::cost_model;
-  double cost_push = 0.0;  // model estimates (0 when not applicable)
+  double cost_push = 0.0;  // traversal model estimates (0 for kernel plans)
   double cost_pull = 0.0;
-  OpDesc desc;  // the inputs the decision was made from (for explain)
-
-  /// Human-readable decision record — `lagraph_cli explain` output.
-  [[nodiscard]] std::string explain() const;
+  OpDesc desc;  // the inputs the decision was made from (spans read the mask)
 };
 
 /// Build a plan for `d`: apply caller hints and Config overrides, otherwise
 /// run the cost model. Depends on nothing but `d` and config(); bumps the
 /// Stats planner counters.
 ExecPlan make_plan(const OpDesc &d);
-
-/// Fixed per-call overhead in cost-model units, charged on every kernel
-/// dispatch. The calibration run (EXPERIMENTS.md §Observability) measured
-/// single-vertex push frontiers ~6.8× under-estimated because the model
-/// priced only the edge scan; dispatch + plan probe + write_result dominate
-/// at that size. Both directions pay it, so large-frontier decisions are
-/// unchanged.
-inline constexpr double kCallOverheadUnits = 64.0;
 
 /// Thread-team size for `total_work` units: the PR-2 gating rule
 /// (effective_threads() when the work clears kParallelGrain, else the

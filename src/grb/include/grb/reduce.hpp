@@ -43,7 +43,6 @@ void reduce(Vector<W> &w, const MaskT &mask, Accum accum, M monoid,
   // row fills its own result slot, and the slots are the bitmap result.
   const bool csr = src->format() == Matrix<A>::Format::csr;
   const int parts = plan::chunk_parts(src->nvals(), 4);
-  sp.set_threads(parts);
   std::vector<Index> bounds =
       csr && parts > 1 ? detail::partition_rows_by_work(src->rowptr(), parts)
                        : detail::partition_even(m, parts);
@@ -84,7 +83,6 @@ void reduce(S &s, Accum accum, M monoid, const Matrix<A> &a) {
   a.finish();
   const bool csr = a.format() == Matrix<A>::Format::csr;
   const int parts = csr ? plan::chunk_parts(a.nvals(), 4) : 1;
-  sp.set_threads(parts);
   if (parts > 1) {
     auto bounds = detail::partition_rows_by_work(a.rowptr(), parts);
     const int nchunks = static_cast<int>(bounds.size()) - 1;
@@ -121,7 +119,6 @@ void reduce(S &s, Accum accum, M monoid, const Vector<U> &u) {
   sp.set_out_nvals(1);
   Z acc = M::identity();
   const int parts = plan::chunk_parts(u.nvals(), 4);
-  sp.set_threads(parts);
   if (parts > 1 && u.format() == Vector<U>::Format::sparse) {
     auto uv = u.sparse_values();
     auto bounds = detail::partition_even(static_cast<Index>(uv.size()), parts);

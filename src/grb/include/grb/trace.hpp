@@ -7,24 +7,25 @@
 // equivalent observability layer, sitting directly on top of grb::plan:
 //
 //   ScopedSpan (RAII, in every kernel entry point and algorithm iteration)
-//     → per-thread lock-free ring buffer of Spans
+//     → per-thread ring buffer of plain Spans
 //       → collect() / write_chrome_trace()   (Perfetto-inspectable JSON)
 //       → op_histogram()                     (log₂ latency buckets, p50/95/99)
 //       → calibrate()                        (rank cost-model mispredictions)
 //
-// Each span records the op kind, the chosen direction/format from its
-// ExecPlan, input/output nnz, mask kind, thread-team size, wall-time ns, and
-// the plan's *predicted* cost — so the calibration report can compare what
-// the cost model promised against what the kernel actually took.
+// Each span records the op kind, the direction/format its ExecPlan chose,
+// input/output nnz, mask kind, wall-time ns, and — for the traversal levels
+// whose direction a cost decided — the plan's *predicted* cost, so the
+// calibration report can compare what the cost model promised against what
+// the level actually took. Kernel plans weigh no cost and record 0.
 //
 // Threading contract:
-//   - recording is lock-free and allocation-free on the hot path: each thread
-//     owns a fixed-capacity ring of seqlock-protected slots built from
-//     relaxed atomics (a registry mutex is taken only on a thread's *first*
-//     recorded span, to lease a ring);
-//   - collect() may run concurrently with writers: slots that are mid-write
-//     or already overwritten fail the per-slot sequence check and are
-//     dropped, never torn;
+//   - recording is allocation-free after a thread's first recorded span:
+//     each thread owns a fixed-capacity ring of Spans behind its own mutex,
+//     which only collect() and reset() ever contend for, briefly (a registry
+//     mutex is taken only on a thread's *first* recorded span, to lease a
+//     ring);
+//   - collect() may run concurrently with writers: it copies each ring under
+//     that ring's mutex, so a span is never torn;
 //   - when tracing is disabled (Config::trace_sample_every == 0, the
 //     default), a ScopedSpan is one branch and touches no global state — no
 //     ring is ever leased, nothing allocates.
@@ -89,25 +90,23 @@ inline constexpr std::uint8_t kMaskValued = 1;
 inline constexpr std::uint8_t kMaskStructural = 2;
 inline constexpr std::uint8_t kMaskComplement = 4;
 
-/// One recorded event. Plain data; decoded from a ring slot by collect().
+/// One recorded event. Plain data: the ring slots hold Spans as they are.
 struct Span {
   SpanKind kind = SpanKind::mxv;
   std::uint8_t direction = 0;  // plan::Direction
   std::uint8_t a_format = 0;   // plan::MatFormat of the matrix operand
-  std::uint8_t u_format = 0;   // plan::VecFormat of the probed vector
   std::uint8_t mask = 0;       // kMask* bits
   std::uint8_t chosen = 0;     // plan::Chosen — who made the call
-  std::uint16_t threads = 1;   // team size the plan granted
   std::uint16_t depth = 0;     // nesting depth on the recording thread
   std::uint32_t tid = 0;       // ring id (stable per thread lease)
+  std::uint32_t batch_members = 0;  // sweep width when the request batched
   std::int64_t iter = -1;      // iteration / level number, -1 when n/a
   std::uint64_t t0_ns = 0;     // steady-clock start
   std::uint64_t dur_ns = 0;
   std::uint64_t in_nvals = 0;   // frontier / input nnz
   std::uint64_t out_nvals = 0;  // result nnz
-  std::uint64_t request_id = 0;    // owning service request (0 = none)
-  std::uint32_t batch_members = 0;  // sweep width when the request batched
-  double predicted_cost = 0.0;  // the plan's estimate for the chosen path
+  std::uint64_t request_id = 0;  // owning service request (0 = none)
+  double predicted_cost = 0.0;  // traversal plans: estimate for the chosen path
   double extra = 0.0;           // per-kind payload (PR norm, CC changed, ...)
 };
 
@@ -234,15 +233,14 @@ class ScopedSpan {
 
   [[nodiscard]] bool active() const noexcept { return record_ || burble_; }
 
-  /// Copy the decision out of an ExecPlan: direction, operand formats, mask
-  /// kind, team size, and the predicted cost of the direction it chose.
+  /// Copy the decision out of an ExecPlan: direction, matrix format, who
+  /// chose, mask kind, and the predicted cost of the direction it chose
+  /// (0 unless a traversal cost model made the choice).
   void set_plan(const plan::ExecPlan &pl) noexcept {
     if (!active()) return;
     s_.direction = static_cast<std::uint8_t>(pl.direction);
     s_.a_format = static_cast<std::uint8_t>(pl.a_format);
-    s_.u_format = static_cast<std::uint8_t>(pl.u_format);
     s_.chosen = static_cast<std::uint8_t>(pl.chosen);
-    s_.threads = static_cast<std::uint16_t>(pl.threads);
     if (pl.desc.masked) {
       s_.mask = pl.desc.mask_structural ? kMaskStructural : kMaskValued;
       if (pl.desc.mask_complement) s_.mask |= kMaskComplement;
@@ -263,9 +261,6 @@ class ScopedSpan {
   void set_extra(double x) noexcept {
     if (active()) s_.extra = x;
   }
-  void set_threads(int t) noexcept {
-    if (active()) s_.threads = static_cast<std::uint16_t>(t);
-  }
   void set_direction(plan::Direction d) noexcept {
     if (active()) s_.direction = static_cast<std::uint8_t>(d);
   }
@@ -280,13 +275,13 @@ class ScopedSpan {
 };
 
 /// Snapshot every ring: spans not yet overwritten and not discarded by
-/// reset(), sorted by start time. Safe concurrently with writers (torn or
-/// recycled slots are dropped).
+/// reset(), sorted by start time. Safe concurrently with writers (each ring
+/// is copied under its own mutex).
 std::vector<Span> collect();
 
 /// Discard all collected-so-far spans (ring tails jump to heads) and zero
-/// the per-op histograms. Safe concurrently with writers; counts are exact
-/// only once writers quiesce.
+/// the per-op histograms. Safe concurrently with writers; histogram counts
+/// are exact only once writers quiesce.
 void reset();
 
 /// Number of per-thread rings ever leased — observable proof that disabled
@@ -296,7 +291,8 @@ std::size_t ring_count() noexcept;
 /// Chrome trace-event JSON ("traceEvents" array of complete "X" events,
 /// timestamps µs relative to the earliest span) — loadable in Perfetto /
 /// chrome://tracing. Iteration spans carry args.frontier + args.direction;
-/// kernel spans carry nnz, formats, team size, and predicted cost.
+/// kernel spans carry nnz, direction, format and mask. Every span carries
+/// its predicted cost (0 unless a traversal cost model chose).
 void write_chrome_trace(std::ostream &os, const std::vector<Span> &spans);
 
 /// One plan-vs-actual comparison row: ratio > 1 means the op ran slower
@@ -312,7 +308,8 @@ struct CalibrationRow {
 };
 
 /// Cost-model calibration over a span set: fits one global ns-per-cost-unit
-/// scale (median of actual/predicted over spans that carried a prediction)
+/// scale (median of actual/predicted over spans that carried a prediction —
+/// the BFS, BC and msbfs levels whose direction the traversal model chose)
 /// plus per-direction scales, computes the p95 of |log₂ ratio| — the
 /// headline model-accuracy number the planner-loop work is gated on — and
 /// ranks spans by |log₂ ratio|, the worst mispredictions first.

@@ -39,7 +39,6 @@ Matrix<T> transpose_impl(const Matrix<T> &a) {
           4 * static_cast<std::size_t>(nz) + 1024) {
     nthreads = 1;
   }
-  sp.set_threads(nthreads);
 
   if (nthreads <= 1) {
     std::vector<Index> rp(static_cast<std::size_t>(n) + 1, 0);

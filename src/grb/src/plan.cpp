@@ -5,8 +5,6 @@
 #include "grb/plan.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 namespace grb {
 namespace plan {
@@ -17,6 +15,13 @@ namespace {
 /// scatter (random access vs streaming). Calibrated so the unified model
 /// reproduces the BC backward threshold (pull iff 2·|next level| < |W|).
 constexpr double kPullBias = 2.0;
+
+/// Fixed per-level overhead in cost-model units, charged on both directions
+/// of a traversal. Single-vertex push frontiers ran ~6.8× over a model that
+/// priced only the edge scan, because dispatch and write_result dominate at
+/// that size. Both directions pay it, so large-frontier decisions are
+/// unchanged.
+constexpr double kCallOverheadUnits = 64.0;
 
 /// Degree-distribution skew at which the TC presort pays for itself
 /// (paper Alg. 6: mean > 4 × median).
@@ -40,11 +45,6 @@ bool bitmap_allowed() noexcept {
 /// then the caller hint (an Advanced-mode algorithm's structural
 /// requirement, which always wins). A pull is only ever chosen when the
 /// caller reported a pull path (cached transpose) exists.
-///
-/// Both directions carry kCallOverheadUnits (calibration bias #2): a
-/// single-vertex frontier was ~6.8× under-estimated because dispatch and
-/// write_result dominate when the edge scan is one row. The same constant on
-/// both sides leaves large-frontier decisions untouched.
 void decide_direction(const OpDesc &d, ExecPlan &p) {
   const double davg = mean_degree(d);
   p.cost_push = kCallOverheadUnits + static_cast<double>(d.u_nvals) * davg;
@@ -84,10 +84,8 @@ void decide_direction(const OpDesc &d, ExecPlan &p) {
   p.chosen = chosen;
   if (dir == Direction::pull) {
     stats().plan_pull_decisions.fetch_add(1, std::memory_order_relaxed);
-    p.threads = team_size(static_cast<Index>(p.cost_pull));
   } else {
     stats().plan_push_decisions.fetch_add(1, std::memory_order_relaxed);
-    p.threads = team_size(static_cast<Index>(p.cost_push));
   }
 }
 
@@ -109,43 +107,20 @@ void decide_dot_operand(ExecPlan &p) {
 void plan_mxv_vxm(const OpDesc &d, ExecPlan &p) {
   // Direction is structural here: (vxm, no transpose) and (mxv, transpose)
   // scatter — push; the other two run dot products — pull. The planner's
-  // job is the probed operand's format and the team size.
-  const bool push = (d.op == OpKind::vxm) != d.transpose_a;
-  const double davg = mean_degree(d);
-  p.cost_push = kCallOverheadUnits +
-                static_cast<double>(d.u_nvals) * std::max(1.0, davg);
-  // Early-exit-aware pull cost (calibration bias #1): a masked dot kernel
-  // computes only the mask's candidate outputs, and a terminal additive
-  // monoid stops each dot at its first frontier hit. The old model charged
-  // the full matrix nnz — ~100× over what late BFS levels actually probe.
-  double pull_units = static_cast<double>(d.a_nvals);
-  if (d.masked) {
-    const double candidates = static_cast<double>(
-        d.mask_complement ? std::max<Index>(d.out_size - d.mask_nvals, 1)
-                          : std::max<Index>(d.mask_nvals, 1));
-    double probe = std::max(1.0, davg);
-    if (d.has_terminal && d.u_nvals > 0) {
-      probe = std::min(probe, static_cast<double>(d.out_size) /
-                                  static_cast<double>(d.u_nvals));
-    }
-    pull_units = candidates * probe;
-  }
-  p.cost_pull = kCallOverheadUnits + pull_units;
-  if (push) {
+  // only choice is the probed operand's format; there is no cost to weigh.
+  if ((d.op == OpKind::vxm) != d.transpose_a) {
     p.direction = Direction::push;
-    p.threads = team_size(static_cast<Index>(p.cost_push));
   } else {
     p.direction = Direction::pull;
     decide_dot_operand(p);
-    p.threads = team_size(static_cast<Index>(pull_units));
   }
 }
 
 void plan_mxm(const OpDesc &d, ExecPlan &p) {
-  p.use_dot = d.transpose_b && d.masked;
+  // A masked A ⊕.⊗ Bᵀ runs the dot kernel; everything else is Gustavson.
   const double cells = static_cast<double>(d.a_rows) *
                        static_cast<double>(d.a_cols);
-  if (p.use_dot) {
+  if (d.transpose_b && d.masked) {
     // A bitmap first operand turns each dot into O(|B row|) probes — worth
     // it when A is dense enough. Aliased operands (C⟨s(A)⟩ = A ⊕.⊗ Aᵀ)
     // must share one format, so the bitmap path is off.
@@ -179,50 +154,32 @@ void plan_mxm(const OpDesc &d, ExecPlan &p) {
       p.mask_format = MatFormat::bitmap;
     }
   }
-  p.threads = team_size(d.a_nvals + d.b_nvals);
 }
 
 void plan_ewise(const OpDesc &d, ExecPlan &p) {
-  // Vector formats are encoded as ints in the desc (sparse=0, bitmap=1,
-  // -1 = matrix operands, nothing to decide).
-  if (d.u_format >= 0) {
-    const bool u_bitmap = d.u_format == 1;
-    const bool v_bitmap = d.v_format == 1;
-    if (config().force_format == ForceFormat::sparse) {
-      p.u_format = VecFormat::sparse;
-      p.v_format = VecFormat::sparse;
-      if (u_bitmap || v_bitmap) p.chosen = Chosen::config_override;
-    } else if (config().force_format == ForceFormat::bitmap) {
-      p.u_format = VecFormat::bitmap;
-      p.v_format = VecFormat::bitmap;
-      if (!u_bitmap || !v_bitmap) p.chosen = Chosen::config_override;
-    } else if (d.op == OpKind::ewise_add && (u_bitmap || v_bitmap)) {
-      // Union over mixed formats has no fast path: promote both to bitmap
-      // and take the dense walk. Intersection keeps mixed formats — the
-      // sparse-probes-bitmap path is O(nnz(sparse)).
-      p.u_format = VecFormat::bitmap;
-      p.v_format = VecFormat::bitmap;
-    }
+  // Vector formats are encoded as ints in the desc (sparse=0, bitmap=1).
+  // Matrix eWise walks its operands in whatever format they hold and plans
+  // nothing.
+  const bool u_bitmap = d.u_format == 1;
+  const bool v_bitmap = d.v_format == 1;
+  if (config().force_format == ForceFormat::sparse) {
+    p.u_format = VecFormat::sparse;
+    p.v_format = VecFormat::sparse;
+    if (u_bitmap || v_bitmap) p.chosen = Chosen::config_override;
+  } else if (config().force_format == ForceFormat::bitmap) {
+    p.u_format = VecFormat::bitmap;
+    p.v_format = VecFormat::bitmap;
+    if (!u_bitmap || !v_bitmap) p.chosen = Chosen::config_override;
+  } else if (d.op == OpKind::ewise_add && (u_bitmap || v_bitmap)) {
+    // Union over mixed formats has no fast path: promote both to bitmap
+    // and take the dense walk. Intersection keeps mixed formats — the
+    // sparse-probes-bitmap path is O(nnz(sparse)).
+    p.u_format = VecFormat::bitmap;
+    p.v_format = VecFormat::bitmap;
   }
-  p.direction = Direction::none;
-  p.threads = team_size(d.u_nvals + d.v_nvals);
 }
 
 }  // namespace
-
-const char *name(OpKind k) noexcept {
-  switch (k) {
-    case OpKind::mxv: return "mxv";
-    case OpKind::vxm: return "vxm";
-    case OpKind::mxm: return "mxm";
-    case OpKind::ewise_add: return "ewise_add";
-    case OpKind::ewise_mult: return "ewise_mult";
-    case OpKind::apply: return "apply";
-    case OpKind::reduce: return "reduce";
-    case OpKind::traversal: return "traversal";
-  }
-  return "?";
-}
 
 const char *name(Direction d) noexcept {
   switch (d) {
@@ -242,15 +199,6 @@ const char *name(MatFormat f) noexcept {
   return "?";
 }
 
-const char *name(VecFormat f) noexcept {
-  switch (f) {
-    case VecFormat::keep: return "keep";
-    case VecFormat::sparse: return "sparse";
-    case VecFormat::bitmap: return "bitmap";
-  }
-  return "?";
-}
-
 const char *name(Chosen c) noexcept {
   switch (c) {
     case Chosen::cost_model: return "cost model";
@@ -263,7 +211,6 @@ const char *name(Chosen c) noexcept {
 ExecPlan make_plan(const OpDesc &d) {
   stats().plans_built.fetch_add(1, std::memory_order_relaxed);
   ExecPlan p;
-  p.op = d.op;
   p.desc = d;
   switch (d.op) {
     case OpKind::mxv:
@@ -276,10 +223,6 @@ ExecPlan make_plan(const OpDesc &d) {
     case OpKind::ewise_add:
     case OpKind::ewise_mult:
       plan_ewise(d, p);
-      break;
-    case OpKind::apply:
-    case OpKind::reduce:
-      p.threads = team_size(std::max(d.a_nvals, d.u_nvals));
       break;
     case OpKind::traversal:
       decide_direction(d, p);
@@ -302,52 +245,6 @@ bool tc_presort(double mean_deg, double median_deg) noexcept {
 
 double sssp_default_delta(double max_weight) noexcept {
   return std::max(1.0, max_weight / kDeltaDivisor);
-}
-
-std::string ExecPlan::explain() const {
-  char buf[640];
-  std::string out;
-  std::snprintf(buf, sizeof(buf), "plan %s: direction=%s (%s)\n", name(op),
-                name(direction), name(chosen));
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "  inputs: A %" PRIu64 "x%" PRIu64 " nnz=%" PRIu64
-      " (mean degree %.1f), frontier/u nnz=%" PRIu64 ", pull candidates=%"
-      PRIu64 "\n",
-      static_cast<std::uint64_t>(desc.a_rows),
-      static_cast<std::uint64_t>(desc.a_cols),
-      static_cast<std::uint64_t>(desc.a_nvals),
-      desc.a_rows > 0 ? static_cast<double>(desc.a_nvals) /
-                            static_cast<double>(desc.a_rows)
-                      : 0.0,
-      static_cast<std::uint64_t>(desc.u_nvals),
-      static_cast<std::uint64_t>(desc.pull_candidates));
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  mask: %s%s%s, add monoid %s, pull path %s, hint %s\n",
-                desc.masked ? "yes" : "none",
-                desc.mask_complement ? " complemented" : "",
-                desc.mask_structural ? " structural" : "",
-                desc.has_terminal ? "terminal (early exit)" : "non-terminal",
-                desc.has_transpose ? "available" : "unavailable",
-                name(desc.hint));
-  out += buf;
-  if (cost_push > 0.0 || cost_pull > 0.0) {
-    std::snprintf(buf, sizeof(buf),
-                  "  model: push cost=%.0f edge scans, pull cost=%.0f probes"
-                  " (bias %.1fx, call overhead %.0f)\n",
-                  cost_push, cost_pull, kPullBias, kCallOverheadUnits);
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf),
-                "  formats: A=%s B=%s mask=%s u=%s v=%s%s\n", name(a_format),
-                name(b_format), name(mask_format), name(u_format),
-                name(v_format), use_dot ? "  kernel=dot" : "");
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "  threads: %d\n", threads);
-  out += buf;
-  return out;
 }
 
 }  // namespace plan

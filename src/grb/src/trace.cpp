@@ -1,18 +1,11 @@
 // grb/src/trace.cpp — span rings, chrome export, calibration, burble.
 //
-// The ring design: every slot is nine relaxed/release atomics (a seqlock
-// whose payload itself is atomic words, so concurrent collect() is
-// data-race-free by construction, not by convention). The writer protocol
-// per span id:
-//
-//   slot.seq ← BUSY            (release)
-//   slot.w*  ← payload         (relaxed)
-//   slot.seq ← id + 1          (release)
-//   ring.head ← id + 1         (release)
-//
-// A reader accepts a slot only if seq reads id+1 both before and after
-// copying the payload; a slot that is BUSY, stale, or recycled for id+cap
-// fails the check and is dropped. Rings are leased from a process-global
+// The ring design: each ring is a fixed array of plain Spans plus a head
+// (spans ever recorded) and a tail (the first span not discarded by
+// reset()), all guarded by the ring's own mutex. Its one writer, the owning
+// thread, takes the mutex per span; collect() and reset() take it once per
+// ring. So the mutex is uncontended except while a collector copies that
+// ring, and a span is never torn. Rings are leased from a process-global
 // registry on a thread's first recorded span and returned to a free list at
 // thread exit, so short-lived threads (test stress loops, service workers)
 // reuse rings instead of growing the registry without bound. The registry
@@ -25,7 +18,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -87,32 +79,6 @@ namespace {
 
 Histogram g_op_hist[kNumSpanKinds];
 
-constexpr std::uint64_t kBusy = ~std::uint64_t{0};
-
-struct PackedSpan {
-  std::atomic<std::uint64_t> seq{0};  // 0 = never written, BUSY = mid-write
-  std::atomic<std::uint64_t> t0{0};
-  std::atomic<std::uint64_t> dur{0};
-  std::atomic<std::uint64_t> in{0};
-  std::atomic<std::uint64_t> out{0};
-  std::atomic<std::uint64_t> pred{0};  // double bits
-  std::atomic<std::uint64_t> meta{0};
-  std::atomic<std::uint64_t> iter{0};  // int64 bits
-  std::atomic<std::uint64_t> extra{0};  // double bits
-  std::atomic<std::uint64_t> req{0};  // request id (low 48) | members (high 16)
-};
-
-std::uint64_t pack_req(const Span &s) noexcept {
-  const std::uint64_t members =
-      s.batch_members > 0xFFFF ? 0xFFFF : s.batch_members;
-  return (s.request_id & 0xFFFFFFFFFFFFULL) | (members << 48);
-}
-
-void unpack_req(std::uint64_t r, Span &s) noexcept {
-  s.request_id = r & 0xFFFFFFFFFFFFULL;
-  s.batch_members = static_cast<std::uint32_t>(r >> 48);
-}
-
 /// Thread-local request tag (see RequestScope). Plain thread_local data:
 /// only the owning thread reads or writes it, spans copy it at begin().
 struct RequestTag {
@@ -126,48 +92,14 @@ RequestTag &request_tag() noexcept {
   return tag;
 }
 
-std::uint64_t pack_meta(const Span &s) noexcept {
-  return static_cast<std::uint64_t>(s.kind) |
-         (static_cast<std::uint64_t>(s.direction & 0xF) << 8) |
-         (static_cast<std::uint64_t>(s.a_format & 0xF) << 12) |
-         (static_cast<std::uint64_t>(s.u_format & 0xF) << 16) |
-         (static_cast<std::uint64_t>(s.mask & 0xF) << 20) |
-         (static_cast<std::uint64_t>(s.chosen & 0xF) << 24) |
-         (static_cast<std::uint64_t>(s.threads) << 32) |
-         (static_cast<std::uint64_t>(s.depth) << 48);
-}
-
-void unpack_meta(std::uint64_t m, Span &s) noexcept {
-  s.kind = static_cast<SpanKind>(m & 0xFF);
-  s.direction = static_cast<std::uint8_t>((m >> 8) & 0xF);
-  s.a_format = static_cast<std::uint8_t>((m >> 12) & 0xF);
-  s.u_format = static_cast<std::uint8_t>((m >> 16) & 0xF);
-  s.mask = static_cast<std::uint8_t>((m >> 20) & 0xF);
-  s.chosen = static_cast<std::uint8_t>((m >> 24) & 0xF);
-  s.threads = static_cast<std::uint16_t>((m >> 32) & 0xFFFF);
-  s.depth = static_cast<std::uint16_t>((m >> 48) & 0xFFFF);
-}
-
-std::uint64_t dbits(double d) noexcept {
-  std::uint64_t u;
-  static_assert(sizeof(u) == sizeof(d));
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-double bits2d(std::uint64_t u) noexcept {
-  double d;
-  std::memcpy(&d, &u, sizeof(d));
-  return d;
-}
-
 struct Ring {
   explicit Ring(std::uint32_t id)
-      : slots(new PackedSpan[kRingCapacity]), tid(id) {}
-  std::unique_ptr<PackedSpan[]> slots;
-  std::atomic<std::uint64_t> head{0};
-  std::atomic<std::uint64_t> tail{0};
-  std::uint32_t tid;
+      : slots(std::make_unique<Span[]>(kRingCapacity)), tid(id) {}
+  std::mutex mu;
+  std::unique_ptr<Span[]> slots;  // span id k lives in slots[k % capacity]
+  std::uint64_t head = 0;         // spans ever recorded
+  std::uint64_t tail = 0;         // first span id not discarded by reset()
+  const std::uint32_t tid;
 };
 
 /// Mutex-guarded ring registry. The mutex is off the hot path: a recording
@@ -235,21 +167,11 @@ int &depth_counter() noexcept {
 
 void record(const Span &s) {
   Ring &r = my_ring();
-  const std::uint64_t id = r.head.load(std::memory_order_relaxed);
-  PackedSpan &slot = r.slots[id % kRingCapacity];
-  slot.seq.store(kBusy, std::memory_order_release);
-  slot.t0.store(s.t0_ns, std::memory_order_relaxed);
-  slot.dur.store(s.dur_ns, std::memory_order_relaxed);
-  slot.in.store(s.in_nvals, std::memory_order_relaxed);
-  slot.out.store(s.out_nvals, std::memory_order_relaxed);
-  slot.pred.store(dbits(s.predicted_cost), std::memory_order_relaxed);
-  slot.meta.store(pack_meta(s), std::memory_order_relaxed);
-  slot.iter.store(static_cast<std::uint64_t>(s.iter),
-                  std::memory_order_relaxed);
-  slot.extra.store(dbits(s.extra), std::memory_order_relaxed);
-  slot.req.store(pack_req(s), std::memory_order_relaxed);
-  slot.seq.store(id + 1, std::memory_order_release);
-  r.head.store(id + 1, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lk(r.mu);
+    r.slots[r.head % kRingCapacity] = s;
+    ++r.head;
+  }
   ++request_tag().recorded;
 }
 
@@ -266,10 +188,10 @@ void narrate(const Span &s) {
     case SpanKind::bc_backward:
       std::snprintf(buf, sizeof(buf),
                     "%s %" PRId64 ": frontier %" PRIu64 ", dir %s, out %" PRIu64
-                    ", %d thr, %.3f ms",
+                    ", %.3f ms",
                     name(s.kind), s.iter, s.in_nvals,
                     plan::name(static_cast<plan::Direction>(s.direction)),
-                    s.out_nvals, static_cast<int>(s.threads), ms);
+                    s.out_nvals, ms);
       break;
     case SpanKind::pr_iter:
       std::snprintf(buf, sizeof(buf),
@@ -350,27 +272,12 @@ void ScopedSpan::end() noexcept {
 std::vector<Span> collect() {
   std::vector<Span> out;
   for (Ring *r : registry().all()) {
-    const std::uint64_t head = r->head.load(std::memory_order_acquire);
-    const std::uint64_t tail = r->tail.load(std::memory_order_acquire);
-    std::uint64_t lo = head > kRingCapacity ? head - kRingCapacity : 0;
-    if (tail > lo) lo = tail;
-    for (std::uint64_t id = lo; id < head; ++id) {
-      PackedSpan &slot = r->slots[id % kRingCapacity];
-      if (slot.seq.load(std::memory_order_acquire) != id + 1) continue;
-      Span s;
-      s.t0_ns = slot.t0.load(std::memory_order_relaxed);
-      s.dur_ns = slot.dur.load(std::memory_order_relaxed);
-      s.in_nvals = slot.in.load(std::memory_order_relaxed);
-      s.out_nvals = slot.out.load(std::memory_order_relaxed);
-      s.predicted_cost = bits2d(slot.pred.load(std::memory_order_relaxed));
-      unpack_meta(slot.meta.load(std::memory_order_relaxed), s);
-      s.iter = static_cast<std::int64_t>(
-          slot.iter.load(std::memory_order_relaxed));
-      s.extra = bits2d(slot.extra.load(std::memory_order_relaxed));
-      unpack_req(slot.req.load(std::memory_order_relaxed), s);
-      if (slot.seq.load(std::memory_order_acquire) != id + 1) continue;
-      s.tid = r->tid;
-      out.push_back(s);
+    std::lock_guard<std::mutex> lk(r->mu);
+    const std::uint64_t lo = std::max(
+        r->tail, r->head > kRingCapacity ? r->head - kRingCapacity : 0);
+    for (std::uint64_t id = lo; id < r->head; ++id) {
+      out.push_back(r->slots[id % kRingCapacity]);
+      out.back().tid = r->tid;
     }
   }
   std::sort(out.begin(), out.end(), [](const Span &a, const Span &b) {
@@ -382,8 +289,8 @@ std::vector<Span> collect() {
 
 void reset() {
   for (Ring *r : registry().all()) {
-    r->tail.store(r->head.load(std::memory_order_acquire),
-                  std::memory_order_release);
+    std::lock_guard<std::mutex> lk(r->mu);
+    r->tail = r->head;
   }
   for (auto &h : g_op_hist) h.reset();
 }
@@ -417,7 +324,7 @@ void write_chrome_trace(std::ostream &os, const std::vector<Span> &spans) {
        << plan::name(static_cast<plan::MatFormat>(s.a_format))
        << "\",\"chosen\":\""
        << plan::name(static_cast<plan::Chosen>(s.chosen))
-       << "\",\"threads\":" << s.threads << ",\"depth\":" << s.depth
+       << "\",\"depth\":" << s.depth
        << ",\"iter\":" << s.iter << ",\"mask\":" << static_cast<int>(s.mask)
        << ",\"request_id\":" << s.request_id
        << ",\"batch_members\":" << s.batch_members;
@@ -431,8 +338,9 @@ void write_chrome_trace(std::ostream &os, const std::vector<Span> &spans) {
 CalibrationReport calibrate(const std::vector<Span> &spans,
                             std::size_t top_n) {
   CalibrationReport rep;
-  // Only spans that carried a model estimate participate; a fresh process
-  // may legitimately have none (tracing off, or no planned kernels ran).
+  // Only spans that carried a model estimate participate — the traversal
+  // levels whose direction the cost model weighed; a fresh process may
+  // legitimately have none (tracing off, or no traversal ran).
   std::vector<const Span *> have;
   std::vector<double> scales;
   for (const Span &s : spans) {
@@ -447,10 +355,9 @@ CalibrationReport calibrate(const std::vector<Span> &spans,
                    scales.end());
   rep.ns_per_cost = scales[scales.size() / 2];
 
-  // Per-direction fits: push and pull kernels have different unit costs
-  // (streaming scatter vs random probe), so the persisted Calibration keeps
-  // one coefficient each. Median again — robust to the tail this report
-  // exists to expose.
+  // Per-direction fits: push and pull levels have different unit costs
+  // (streaming scatter vs random probe), so each gets its own coefficient.
+  // Median again — robust to the tail this report exists to expose.
   const auto median_of = [](std::vector<double> &v) {
     if (v.empty()) return 0.0;
     std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
@@ -516,7 +423,7 @@ std::string CalibrationReport::text() const {
   }
   if (worst.empty()) {
     os << "  (no spans carried a cost prediction — enable tracing and run a "
-          "planned kernel)\n";
+          "traversal: bfs, bc or msbfs)\n";
     return os.str();
   }
   os << "  worst mispredictions (ratio = actual / model):\n";

@@ -117,8 +117,8 @@ struct QueryPlan {
 
   /// Multi-line plan rendering for `lagraph_cli explain query`.
   [[nodiscard]] std::string explain(const Query &q) const;
-  /// One-line summary (under 128 chars): the engine's QueryResult::plan,
-  /// which request-log and slow-query records carry.
+  /// One-line summary, uncut however long the pattern: the engine's
+  /// QueryResult::plan, which request-log and slow-query records carry.
   [[nodiscard]] std::string explain_line() const;
 };
 

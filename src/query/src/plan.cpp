@@ -449,16 +449,14 @@ std::string QueryPlan::explain_line() const {
     if (!order.empty()) order += ',';
     order += std::to_string(v);
   }
-  char buf[128];
-  std::snprintf(buf, sizeof buf,
-                "cypher[%s] vars=%zu %s=%zu masked=%zu order=%s cse=%s",
-                optimized ? "opt" : "naive", est.size(),
-                finish == Finish::count  ? "count=chain hops"
-                : finish == Finish::rows ? "rows=chain hops"
-                                         : "prunes",
-                ops, masked,
-                order.c_str(), cse.empty() ? "none" : cse.c_str());
-  return buf;
+  std::string out = optimized ? "cypher[opt]" : "cypher[naive]";
+  out += " vars=" + std::to_string(est.size());
+  out += finish == Finish::count  ? " count=chain hops="
+         : finish == Finish::rows ? " rows=chain hops="
+                                  : " prunes=";
+  out += std::to_string(ops) + " masked=" + std::to_string(masked);
+  out += " order=" + order + " cse=" + (cse.empty() ? "none" : cse);
+  return out;
 }
 
 }  // namespace query

@@ -6,10 +6,12 @@
 //   - disabled tracing (the default) leases no ring and records nothing —
 //     the zero-allocation contract, observable through ring_count();
 //   - sampling keeps roughly 1/N of the spans;
-//   - collect() runs concurrently with writers (the TSan target: build with
-//     -DLAGRAPH_SANITIZE=thread and run ctest -L obs);
+//   - collect() runs concurrently with writers (scripts/check.sh runs this
+//     binary under -DLAGRAPH_SANITIZE=thread);
 //   - histograms bucket by floor(log2), percentiles interpolate;
 //   - calibration fits ns-per-cost and ranks mispredictions;
+//   - only traversal plans carry a cost: kernel spans record 0, and ops
+//     with nothing to decide build no plan;
 //   - Chrome trace JSON export is well-formed and carries the span args;
 //   - Stats::snapshot() returns a plain copy readable without atomics.
 #include <gtest/gtest.h>
@@ -72,7 +74,6 @@ TEST(Trace, RecordsSpanFields) {
     sp.set_iter(7);
     sp.set_in_nvals(123);
     sp.set_out_nvals(456);
-    sp.set_threads(3);
     sp.set_extra(2.5);
     sp.set_direction(grb::plan::Direction::pull);
   }
@@ -81,7 +82,6 @@ TEST(Trace, RecordsSpanFields) {
   EXPECT_EQ(got[0].iter, 7);
   EXPECT_EQ(got[0].in_nvals, 123u);
   EXPECT_EQ(got[0].out_nvals, 456u);
-  EXPECT_EQ(got[0].threads, 3);
   EXPECT_DOUBLE_EQ(got[0].extra, 2.5);
   EXPECT_EQ(got[0].direction,
             static_cast<std::uint8_t>(grb::plan::Direction::pull));
@@ -290,8 +290,8 @@ TEST(Trace, ChromeTraceExport) {
             std::count(json.begin(), json.end(), ']'));
 }
 
-// Pin num_threads = 1 for the section under test: the stress/obs binary
-// also runs under TSan, where libgomp is not instrumented.
+// Pin num_threads = 1 for the section under test: this binary also runs
+// under TSan, where libgomp's barriers are not instrumented.
 struct ThreadGuard {
   explicit ThreadGuard(int n) { grb::config().num_threads = n; }
   ~ThreadGuard() { grb::config().num_threads = 0; }
@@ -319,13 +319,18 @@ TEST(Trace, KernelsRecordSpansWithPlans) {
   EXPECT_EQ(got[0].in_nvals, 1u);
   EXPECT_EQ(got[0].out_nvals, 2u);
   EXPECT_GT(got[0].dur_ns, 0u);
-  EXPECT_GT(got[0].predicted_cost, 0.0);
+  EXPECT_EQ(got[0].direction,
+            static_cast<std::uint8_t>(grb::plan::Direction::push));
+  EXPECT_EQ(got[0].predicted_cost, 0.0);  // the direction was never weighed
 }
 
-TEST(Trace, PredictedCostIgnoresStorageWidth) {
-  // The cost model prices edge visits, not index bytes: a pull mxv and a
-  // push vxm predict the same cost whether A stores u32 or u64 indices.
+TEST(Trace, OnlyTraversalLevelsCarryAPredictedCost) {
+  // An mxv/vxm direction is fixed by the op and its descriptor, so its span
+  // records the direction with no cost, whatever the storage width. A BFS
+  // level's direction is weighed by the traversal model, and its span
+  // records the cost of the direction that model chose.
   TraceGuard guard(1);
+  ThreadGuard tg(1);
   const grb::ForceIndexWidth saved = grb::config().force_index_width;
   constexpr grb::Index n = 64;
   std::vector<grb::Index> ri, ci;
@@ -339,34 +344,103 @@ TEST(Trace, PredictedCostIgnoresStorageWidth) {
   }
   grb::Vector<double> u(n);
   for (grb::Index i : {0, 5, 9, 40}) u.set_element(i, 1.0);
+  const auto pull = static_cast<std::uint8_t>(grb::plan::Direction::pull);
+  const auto push = static_cast<std::uint8_t>(grb::plan::Direction::push);
 
-  auto predicted = [&](grb::ForceIndexWidth width, grb::IndexWidth expect) {
+  for (const auto width : {grb::ForceIndexWidth::u32,
+                           grb::ForceIndexWidth::u64}) {
+    SCOPED_TRACE(width == grb::ForceIndexWidth::u32 ? "u32" : "u64");
     grb::config().force_index_width = width;
     grb::Matrix<double> a(n, n);
     a.build(ri, ci, vals);
-    EXPECT_EQ(a.index_width(), expect);
+    EXPECT_EQ(a.index_width(), width == grb::ForceIndexWidth::u32
+                                   ? grb::IndexWidth::u32
+                                   : grb::IndexWidth::u64);
     grb::trace::reset();
     grb::Vector<double> w(n);
     grb::mxv(w, grb::no_mask, grb::NoAccum{}, grb::PlusTimes<double>{}, a, u);
     grb::vxm(w, grb::no_mask, grb::NoAccum{}, grb::PlusTimes<double>{}, u, a);
-    const auto pull = spans_of(SpanKind::mxv);
-    const auto push = spans_of(SpanKind::vxm);
-    EXPECT_EQ(pull.size(), 1u);
-    EXPECT_EQ(push.size(), 1u);
-    if (pull.size() != 1 || push.size() != 1) return std::make_pair(0.0, 0.0);
-    EXPECT_EQ(pull[0].direction,
-              static_cast<std::uint8_t>(grb::plan::Direction::pull));
-    EXPECT_EQ(push[0].direction,
-              static_cast<std::uint8_t>(grb::plan::Direction::push));
-    return std::make_pair(pull[0].predicted_cost, push[0].predicted_cost);
-  };
-  const auto narrow =
-      predicted(grb::ForceIndexWidth::u32, grb::IndexWidth::u32);
-  const auto wide = predicted(grb::ForceIndexWidth::u64, grb::IndexWidth::u64);
+
+    // One BFS level over the same graph, planned as bfs_engine plans it:
+    // frontier u, only the source visited, Aᵀ = A standing in for the
+    // cached transpose.
+    grb::plan::ExecPlan level_plan;
+    {
+      grb::trace::ScopedSpan lsp(SpanKind::bfs_level);
+      grb::plan::OpDesc od;
+      od.op = grb::plan::OpKind::traversal;
+      od.out_size = n;
+      od.a_rows = a.nrows();
+      od.a_cols = a.ncols();
+      od.a_nvals = a.nvals();
+      od.u_nvals = u.nvals();
+      od.pull_candidates = n - 1;
+      od.masked = true;
+      od.mask_complement = true;
+      od.mask_structural = true;
+      od.mask_nvals = 1;
+      od.has_terminal = true;
+      od.has_transpose = true;
+      level_plan = grb::plan::make_plan(od);
+      lsp.set_plan(level_plan);
+    }
+
+    const auto mxv_spans = spans_of(SpanKind::mxv);
+    const auto vxm_spans = spans_of(SpanKind::vxm);
+    const auto level_spans = spans_of(SpanKind::bfs_level);
+    ASSERT_EQ(mxv_spans.size(), 1u);
+    ASSERT_EQ(vxm_spans.size(), 1u);
+    ASSERT_EQ(level_spans.size(), 1u);
+    EXPECT_EQ(mxv_spans[0].direction, pull);
+    EXPECT_EQ(mxv_spans[0].predicted_cost, 0.0);
+    EXPECT_EQ(vxm_spans[0].direction, push);
+    EXPECT_EQ(vxm_spans[0].predicted_cost, 0.0);
+
+    const double chosen = level_plan.direction == grb::plan::Direction::pull
+                              ? level_plan.cost_pull
+                              : level_plan.cost_push;
+    EXPECT_GT(chosen, 0.0);
+    EXPECT_EQ(level_spans[0].direction,
+              static_cast<std::uint8_t>(level_plan.direction));
+    EXPECT_EQ(level_spans[0].predicted_cost, chosen);
+  }
   grb::config().force_index_width = saved;
-  EXPECT_GT(wide.first, 0.0);
-  EXPECT_EQ(narrow.first, wide.first);    // pull mxv
-  EXPECT_EQ(narrow.second, wide.second);  // push vxm
+}
+
+TEST(Trace, MatrixEwiseAndMxmReduceBuildNoPlan) {
+  // Matrix eWise walks its operands in the formats they hold, and
+  // mxm_reduce_scalar always runs its CSR dot walk: neither has a choice to
+  // plan, so neither builds a plan. Their spans still record.
+  TraceGuard guard(1);
+  ThreadGuard tg(1);
+  constexpr grb::Index n = 32;
+  grb::Matrix<double> a(n, n);
+  grb::Matrix<double> b(n, n);
+  for (grb::Index i = 0; i < n; ++i) {
+    a.set_element(i, (i + 1) % n, 1.0);
+    a.set_element(i, (i + 3) % n, 2.0);
+    b.set_element(i, (i + 1) % n, 4.0);
+    b.set_element(i, (i + 2) % n, 8.0);
+  }
+  a.finish();
+  b.finish();
+  grb::trace::reset();
+
+  const std::uint64_t before = grb::stats().plans_built.load();
+  grb::Matrix<double> c(n, n);
+  grb::eWiseAdd(c, grb::no_mask, grb::NoAccum{}, grb::Plus{}, a, b);
+  EXPECT_EQ(c.nvals(), 3 * n);
+  grb::eWiseMult(c, grb::no_mask, grb::NoAccum{}, grb::Times{}, a, b);
+  EXPECT_EQ(c.nvals(), n);
+  const double total = grb::mxm_reduce_scalar<double>(
+      grb::PlusMonoid<double>{}, a, grb::PlusTimes<double>{}, a, b,
+      grb::Descriptor{}.T1().S());
+  EXPECT_GE(total, 0.0);
+  EXPECT_EQ(grb::stats().plans_built.load(), before);
+
+  EXPECT_EQ(spans_of(SpanKind::ewise_add).size(), 1u);
+  EXPECT_EQ(spans_of(SpanKind::ewise_mult).size(), 1u);
+  EXPECT_EQ(spans_of(SpanKind::mxm_reduce).size(), 1u);
 }
 
 TEST(StatsSnapshot, MatchesLiveCountersAndVisitsAll) {

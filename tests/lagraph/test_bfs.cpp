@@ -112,6 +112,37 @@ TEST(Bfs, PushOnlyMatchesDirectionOptimizing) {
   EXPECT_EQ(level_push, level_do);
 }
 
+TEST(Bfs, CalibrationRanksExactlyTheLevelSpans) {
+  // Only a BFS level's direction is weighed by a cost model; the mxv/vxm
+  // products inside it run a direction fixed by their descriptor. So the
+  // calibration report over a traced direction-optimizing BFS ranks exactly
+  // its bfs_level spans and none of the kernel spans they contain.
+  auto t = testutil::random_kron(8, 8, 7);
+  char msg[LAGRAPH_MSG_LEN];
+  ASSERT_EQ(lagraph::property_at(t.lg, msg), LAGRAPH_OK) << msg;
+  grb::config().trace_sample_every = 1;
+  grb::trace::reset();
+  grb::Vector<std::int64_t> level;
+  const int rc = lagraph::advanced::bfs_do(&level, nullptr, t.lg, 1, msg);
+  const std::vector<grb::trace::Span> spans = grb::trace::collect();
+  grb::config().trace_sample_every = 0;
+  grb::trace::reset();
+  ASSERT_EQ(rc, LAGRAPH_OK) << msg;
+
+  std::size_t levels = 0;
+  for (const grb::trace::Span &s : spans) {
+    if (s.kind == grb::trace::SpanKind::bfs_level) ++levels;
+  }
+  ASSERT_GT(levels, 1u);
+  ASSERT_GT(spans.size(), levels);  // the kernels inside the levels recorded
+  const auto report = grb::trace::calibrate(spans, spans.size());
+  EXPECT_EQ(report.samples, levels);
+  ASSERT_EQ(report.worst.size(), levels);
+  for (const auto &row : report.worst) {
+    EXPECT_EQ(row.kind, grb::trace::SpanKind::bfs_level);
+  }
+}
+
 // gtest prints a parameter that has no PrintTo as its raw bytes, and the
 // ctest name carries that dump. Spelling the tail padding out as a zeroed
 // member keeps every byte, and so the name, the same from build to build.

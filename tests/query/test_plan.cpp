@@ -325,6 +325,30 @@ TEST(QueryPlan, ProjectionChainExplainShowsTheFinish) {
             std::string::npos);
 }
 
+TEST(QueryPlan, ExplainLineKeepsLongPatternsWhole) {
+  // A 30-variable path: its order= field alone runs past 100 characters,
+  // and the cse= field after it must still close the one-liner.
+  auto g = funnel_graph(64, true);
+  std::string text = "MATCH (v0)";
+  for (int i = 1; i < 30; ++i) text += "-[]->(v" + std::to_string(i) + ")";
+  text += " RETURN v0, v29 LIMIT 1";
+  q::Query p = parse_ok(text);
+  q::QueryPlan plan = compile_ok(p, g, true);
+  std::string cse;
+  if (plan.reuse_transpose) cse += "at,";
+  if (plan.reuse_row_degree || plan.reuse_col_degree) cse += "deg,";
+  if (cse.empty()) {
+    cse = "none";
+  } else {
+    cse.pop_back();
+  }
+  const std::string tail = " cse=" + cse;
+  const std::string line = plan.explain_line();
+  EXPECT_GT(line.size(), 128u) << line;
+  ASSERT_GE(line.size(), tail.size()) << line;
+  EXPECT_EQ(line.substr(line.size() - tail.size()), tail) << line;
+}
+
 TEST(QueryPlan, CompileRejectsNullAndEmpty) {
   auto g = funnel_graph(8, false);
   q::Query p = parse_ok("MATCH (a)-[]->(b) RETURN a");

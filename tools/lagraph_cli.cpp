@@ -7,16 +7,13 @@
 //
 // Algorithms: bfs, pagerank, pagerank-dangling, sssp, tc, cc, bc, ktruss,
 //             lcc, cdlp, msbfs, stats
-// Planner introspection:
-//   explain [OP]         print the grb::plan execution plans the given op
-//                        would run on this graph (OP: bfs|mxv|vxm|mxm|ewise,
-//                        default bfs) — cost-model inputs, chosen
-//                        direction, operand formats, and thread-team size
+// Query planner introspection:
 //   explain query 'PAT'  compile the pattern query against this graph and
 //                        print both the optimized and the naive multi-op
 //                        plan (lagraph::query; grammar in docs/API.md) so
 //                        the optimizer's reordering / mask pushdown / CSE
-//                        decisions are visible side by side
+//                        decisions are visible side by side. The grb plans
+//                        a run made are in its spans: see `trace` below.
 // Service commands (lagraph::service):
 //   serve                build a snapshot, start an Engine, run a query
 //                        script through the batching worker pool; a script
@@ -70,9 +67,10 @@
 //   --burble             narrate algorithm iterations to stderr
 // Tracing (grb::trace):
 //   trace ALGO [opts]    run ALGO with span recording on, write a Chrome
-//                        trace-event JSON (open in Perfetto), print per-op
+//                        trace-event JSON (open in Perfetto) whose spans
+//                        carry the grb plan each op ran, print per-op
 //                        latency percentiles and the plan-vs-actual
-//                        calibration report
+//                        calibration report over the traversal levels
 //   --trace-out FILE     trace: output path (default trace.json)
 //   --sample N           trace: record every Nth span per thread (default 1)
 // Conformance fuzzing (grb::testing, see docs/TESTING.md):
@@ -131,7 +129,6 @@ struct Options {
   long window_us = 200;
   std::uint32_t max_batch = 64;
   bool no_batch = false;
-  std::string explain_op = "bfs";
   std::string query_text;  // explain query: the pattern source
   int mutations = 1024;
   bool json = false;
@@ -159,7 +156,6 @@ int usage() {
       "       lagraph_cli fuzz [--query] [--seconds X|--ops N] [--seed N]\n"
       "                        [--corpus DIR] [--replay FILE] [--out FILE]\n"
       "                        [--emit-corpus DIR]\n"
-      "  explain [bfs|mxv|vxm|mxm|ewise]  print execution plans\n"
       "  explain query 'PATTERN'  print optimized vs naive query plans\n"
       "  --mtx FILE | --graphalytics V E | --gen KIND SCALE\n"
       "  --undirected --source N --delta X --k N --top N\n"
@@ -200,11 +196,14 @@ bool parse_args(int argc, char **argv, Options &opt) {
     std::fprintf(stderr, "unknown algorithm: %s\n", opt.algorithm.c_str());
     return false;
   }
-  if (opt.algorithm == "explain" && argc > first && argv[first][0] != '-') {
-    opt.explain_op = argv[first];
-    ++first;
+  if (opt.algorithm == "explain") {
     // `explain query 'MATCH ...'` — the next argument is the pattern text.
-    if (opt.explain_op == "query" && argc > first && argv[first][0] != '-') {
+    if (argc <= first || std::string(argv[first]) != "query") {
+      std::fprintf(stderr, "explain: expected explain query 'PATTERN'\n");
+      return false;
+    }
+    ++first;
+    if (argc > first && argv[first][0] != '-') {
       opt.query_text = argv[first];
       ++first;
     }
@@ -875,119 +874,34 @@ int main(int argc, char **argv) {
     std::printf("batched BFS: %llu (source, node) pairs reached\n",
                 static_cast<unsigned long long>(level.nvals()));
   } else if (opt.algorithm == "explain") {
-    // Planner introspection: build the operation descriptors the named op
-    // would hand to grb::plan::make_plan on this graph and print each plan.
-    // BFS sweeps three representative traversal stages so the push→pull→push
-    // trajectory of direction optimization is visible without running it.
-    LAGRAPH_TRY(lagraph::property_at(g, msg));
-    const grb::Index n = g.nodes();
-    const grb::Index nnz = g.entries();
-    auto base_desc = [&](grb::plan::OpKind op) {
-      grb::plan::OpDesc od;
-      od.op = op;
-      od.out_size = n;
-      od.a_rows = n;
-      od.a_cols = n;
-      od.a_nvals = nnz;
-      return od;
-    };
-    auto show = [](const char *label, const grb::plan::OpDesc &od) {
-      std::printf("-- %s --\n%s", label, grb::plan::make_plan(od).explain().c_str());
-    };
-    if (opt.explain_op == "bfs") {
-      struct Stage {
-        const char *label;
-        grb::Index nq;
-        grb::Index nvisited;
-      };
-      const Stage stages[] = {
-          {"early level (frontier = source)", 1, 1},
-          {"mid level (frontier ~ n/4)", std::max<grb::Index>(1, n / 4),
-           std::max<grb::Index>(1, n / 3)},
-          {"late level (tail, mostly visited)", std::max<grb::Index>(1, n / 64),
-           static_cast<grb::Index>(0.9 * static_cast<double>(n))},
-      };
-      for (const auto &s : stages) {
-        auto od = base_desc(grb::plan::OpKind::traversal);
-        od.u_nvals = s.nq;
-        od.pull_candidates = n - s.nvisited;
-        od.masked = true;
-        od.mask_complement = true;
-        od.mask_structural = true;
-        od.mask_nvals = s.nvisited;
-        od.has_terminal = true;
-        od.has_transpose = g.transpose_view() != nullptr;
-        show(s.label, od);
-      }
-    } else if (opt.explain_op == "query") {
-      // Multi-op query planning: compile the pattern both ways and print
-      // the full plans side by side so the optimizer's edge reordering,
-      // mask pushdown, and cached-property CSE are visible against the
-      // textual-order baseline.
-      if (opt.query_text.empty()) {
-        std::fprintf(stderr,
-                     "explain query: expected a pattern, e.g. "
-                     "lagraph_cli explain query 'MATCH (a)-[]->(b) RETURN "
-                     "COUNT(*)' --gen kron 8\n");
-        return 2;
-      }
-      namespace q = lagraph::query;
-      q::Query pq;
-      LAGRAPH_TRY(q::parse(&pq, opt.query_text, msg));
-      LAGRAPH_TRY(lagraph::property_row_degree(g, msg));
-      if (g.kind == lagraph::Kind::adjacency_directed) {
-        LAGRAPH_TRY(lagraph::property_col_degree(g, msg));
-      }
-      q::QueryPlan optimized, naive;
-      LAGRAPH_TRY(q::compile(&optimized, pq, g, /*optimize=*/true, msg));
-      LAGRAPH_TRY(q::compile(&naive, pq, g, /*optimize=*/false, msg));
-      std::printf("-- optimized --\n%s", optimized.explain(pq).c_str());
-      std::printf("-- naive (textual order, unmasked) --\n%s",
-                  naive.explain(pq).c_str());
-      std::printf("summary: %s | %s\n", optimized.explain_line().c_str(),
-                  naive.explain_line().c_str());
-    } else if (opt.explain_op == "mxv" || opt.explain_op == "vxm") {
-      const bool is_mxv = opt.explain_op == "mxv";
-      auto od = base_desc(is_mxv ? grb::plan::OpKind::mxv
-                                 : grb::plan::OpKind::vxm);
-      od.u_nvals = std::max<grb::Index>(1, n / 16);
-      show("sparse operand (nnz(u) = n/16)", od);
-      od.transpose_a = true;
-      show("transposed descriptor (dot kernel)", od);
-    } else if (opt.explain_op == "mxm") {
-      auto od = base_desc(grb::plan::OpKind::mxm);
-      od.b_nvals = nnz;
-      od.transpose_b = true;
-      od.masked = true;
-      od.mask_nvals = nnz;
-      od.mask_structural = true;
-      show("masked A x B^T (triangle-count shape)", od);
-      od.mask_complement = true;
-      show("complement-masked A x B^T (BC forward shape)", od);
-    } else if (opt.explain_op == "ewise") {
-      auto od = base_desc(grb::plan::OpKind::ewise_add);
-      od.u_nvals = std::max<grb::Index>(1, n / 8);
-      od.v_nvals = n;
-      od.u_format = 0;
-      od.v_format = 1;
-      show("eWiseAdd sparse + bitmap (SSSP relax shape)", od);
-      od.op = grb::plan::OpKind::ewise_mult;
-      show("eWiseMult sparse x bitmap (intersection)", od);
-    } else {
-      std::fprintf(stderr, "explain: unknown op '%s' "
-                   "(expected bfs|mxv|vxm|mxm|ewise|query)\n",
-                   opt.explain_op.c_str());
+    // Multi-op query planning: compile the pattern both ways and print
+    // the full plans side by side so the optimizer's edge reordering,
+    // mask pushdown, and cached-property CSE are visible against the
+    // textual-order baseline.
+    if (opt.query_text.empty()) {
+      std::fprintf(stderr,
+                   "explain query: expected a pattern, e.g. "
+                   "lagraph_cli explain query 'MATCH (a)-[]->(b) RETURN "
+                   "COUNT(*)' --gen kron 8\n");
       return 2;
     }
-    const grb::Stats &ps = grb::stats();
-    std::printf("planner counters: %llu built, %llu overridden, "
-                "%llu push / %llu pull, %llu format conversions\n",
-                static_cast<unsigned long long>(ps.plans_built.load()),
-                static_cast<unsigned long long>(ps.plans_overridden.load()),
-                static_cast<unsigned long long>(ps.plan_push_decisions.load()),
-                static_cast<unsigned long long>(ps.plan_pull_decisions.load()),
-                static_cast<unsigned long long>(
-                    ps.format_conversions.load()));
+    namespace q = lagraph::query;
+    q::Query pq;
+    LAGRAPH_TRY(q::parse(&pq, opt.query_text, msg));
+    // The cached properties an engine snapshot carries, which CSE reuses.
+    LAGRAPH_TRY(lagraph::property_at(g, msg));
+    LAGRAPH_TRY(lagraph::property_row_degree(g, msg));
+    if (g.kind == lagraph::Kind::adjacency_directed) {
+      LAGRAPH_TRY(lagraph::property_col_degree(g, msg));
+    }
+    q::QueryPlan optimized, naive;
+    LAGRAPH_TRY(q::compile(&optimized, pq, g, /*optimize=*/true, msg));
+    LAGRAPH_TRY(q::compile(&naive, pq, g, /*optimize=*/false, msg));
+    std::printf("-- optimized --\n%s", optimized.explain(pq).c_str());
+    std::printf("-- naive (textual order, unmasked) --\n%s",
+                naive.explain(pq).c_str());
+    std::printf("summary: %s | %s\n", optimized.explain_line().c_str(),
+                naive.explain_line().c_str());
   } else if (opt.algorithm == "serve" || opt.algorithm == "replay") {
     namespace svc = lagraph::service;
     namespace ing = lagraph::ingest;
