@@ -51,7 +51,10 @@
 #   3. a trace smoke: lagraph_cli trace bfs on a generated kron graph, with
 #      the emitted Chrome trace-event JSON validated by python3 — no span
 #      carries a threads argument, every BFS level carries its traversal
-#      plan's positive cost, and every mxv/vxm/fused product carries 0,
+#      plan's positive cost and its frontier's edge count (`extra`), every
+#      push level is priced at that count plus one shared overhead, every
+#      mxv/vxm/fused product carries cost 0, and no span that built no plan
+#      names a `chosen`,
 #   3b. a telemetry smoke: lagraph_cli serve --telemetry-port 0 on a
 #       generated graph, the printed ephemeral port scraped over HTTP —
 #       /healthz must answer "ok" and /metrics must expose a non-zero
@@ -220,6 +223,13 @@ for e in levels:
     assert e["args"]["direction"] in ("push", "pull"), e
     # A level's direction is weighed by the traversal cost model.
     assert e["args"]["predicted_cost"] > 0, e
+    # ...from the out-edges its frontier holds.
+    assert e["args"]["extra"] >= e["args"]["frontier"] > 0, e
+# Each push is priced by its own frontier's edges: cost minus edge count is
+# the same per-call overhead on every push level.
+push_overheads = {e["args"]["predicted_cost"] - e["args"]["extra"]
+                  for e in levels if e["args"]["direction"] == "push"}
+assert len(push_overheads) == 1, push_overheads
 # Spans report the plan that ran: no team guess, and no cost for products
 # whose direction their descriptor fixed.
 for e in events:
@@ -229,6 +239,11 @@ products = [e for e in events
 assert products, "trace has no mxv/vxm/fused_mxv_apply spans"
 for e in products:
     assert e["args"]["predicted_cost"] == 0, e
+# A span names who chose only when its op built a plan: a build decides
+# nothing.
+for e in events:
+    if e["name"] == "build":
+        assert "chosen" not in e["args"] and "format" not in e["args"], e
 print(f"trace smoke OK: {len(events)} events, {len(levels)} bfs levels, "
       f"{len(products)} products")
 EOF

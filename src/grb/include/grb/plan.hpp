@@ -20,15 +20,20 @@
 // magic constants in BFS/BC/msbfs):
 //
 //   d̄         = a_nvals / a_rows                   (mean degree)
-//   push_cost = frontier_nvals · d̄                 (edges scanned forward)
-//   probe     = has_terminal ? min(d̄, out_size / frontier_nvals) : d̄
+//   push_cost = u_edges                            (edges scanned forward)
+//   probe     = has_terminal ? min(d̄, a_nvals / u_edges) : d̄
 //   pull_cost = kPullBias · pull_candidates · probe
 //
-// push scans every edge leaving the frontier; pull runs one dot product per
-// candidate output, each costing ~d̄ probes — except under a terminal monoid
-// (`any`, the BFS case), where a dot stops at the first frontier neighbour,
-// after ~out_size/frontier_nvals probes on average. kPullBias accounts for
-// the constant-factor cost of probing over sequential scatter.
+// plus a fixed per-call overhead on both sides. push scans every edge
+// leaving the frontier, and the caller counts them exactly (GAP's
+// scout_count): on a power-law graph the frontier two hops out is mostly
+// hubs, and |frontier| · d̄ would price it at a fraction of its edges. pull
+// runs one dot product per candidate output, each costing ~d̄ probes —
+// except under a terminal monoid (`any`, the BFS case), where a dot stops
+// at the first frontier neighbour. A probed in-edge starts in the frontier
+// with probability u_edges / a_nvals (edge endpoints are degree-biased), so
+// the first hit comes after ~a_nvals / u_edges probes. kPullBias accounts
+// for the constant-factor cost of probing over sequential scatter.
 //
 // Only traversal plans carry costs. An mxv/vxm direction is fixed by the op
 // and its transpose descriptor, so those plans carry the pull probe's format
@@ -86,11 +91,10 @@ const char *name(Chosen c) noexcept;
 /// unused fields stay zero and do not perturb the decision.
 struct OpDesc {
   OpKind op = OpKind::mxv;
-  Index out_size = 0;    // output cells (vector length, or ns·n for BC)
   Index a_rows = 0;      // primary matrix operand
   Index a_cols = 0;
   Index a_nvals = 0;
-  Index u_nvals = 0;     // frontier nnz
+  Index u_edges = 0;     // traversal: edges leaving the frontier (push work)
   Index mask_nvals = 0;
   Index pull_candidates = 0;  // traversal: outputs a pull would compute
   int u_format = -1;     // eWise: Vector<T>::Format as int, -1 when n/a

@@ -97,6 +97,7 @@ struct Span {
   std::uint8_t a_format = 0;   // plan::MatFormat of the matrix operand
   std::uint8_t mask = 0;       // kMask* bits
   std::uint8_t chosen = 0;     // plan::Chosen — who made the call
+  bool planned = false;        // set_plan ran: `chosen` describes a decision
   std::uint16_t depth = 0;     // nesting depth on the recording thread
   std::uint32_t tid = 0;       // ring id (stable per thread lease)
   std::uint32_t batch_members = 0;  // sweep width when the request batched
@@ -107,7 +108,9 @@ struct Span {
   std::uint64_t out_nvals = 0;  // result nnz
   std::uint64_t request_id = 0;  // owning service request (0 = none)
   double predicted_cost = 0.0;  // traversal plans: estimate for the chosen path
-  double extra = 0.0;           // per-kind payload (PR norm, CC changed, ...)
+  double extra = 0.0;  // per-kind payload (PR norm, CC changed, traversal
+                       // levels: the frontier's edge count the push is
+                       // priced from, ...)
 };
 
 /// Spans each per-thread ring retains; older spans are overwritten (the
@@ -241,6 +244,7 @@ class ScopedSpan {
     s_.direction = static_cast<std::uint8_t>(pl.direction);
     s_.a_format = static_cast<std::uint8_t>(pl.a_format);
     s_.chosen = static_cast<std::uint8_t>(pl.chosen);
+    s_.planned = true;
     if (pl.desc.masked) {
       s_.mask = pl.desc.mask_structural ? kMaskStructural : kMaskValued;
       if (pl.desc.mask_complement) s_.mask |= kMaskComplement;
@@ -291,8 +295,10 @@ std::size_t ring_count() noexcept;
 /// Chrome trace-event JSON ("traceEvents" array of complete "X" events,
 /// timestamps µs relative to the earliest span) — loadable in Perfetto /
 /// chrome://tracing. Iteration spans carry args.frontier + args.direction;
-/// kernel spans carry nnz, direction, format and mask. Every span carries
-/// its predicted cost (0 unless a traversal cost model chose).
+/// kernel spans carry nnz, direction and mask. Only decisions that were
+/// made are exported: `chosen` when the span's op built a plan, `format`
+/// when that plan fixed a matrix format. Every span carries its predicted
+/// cost (0 unless a traversal cost model chose) and `extra`.
 void write_chrome_trace(std::ostream &os, const std::vector<Span> &spans);
 
 /// One plan-vs-actual comparison row: ratio > 1 means the op ran slower

@@ -12,8 +12,9 @@ namespace plan {
 namespace {
 
 /// Constant-factor bias of a pull-side probe over a push-side sequential
-/// scatter (random access vs streaming). Calibrated so the unified model
-/// reproduces the BC backward threshold (pull iff 2·|next level| < |W|).
+/// scatter (random access vs streaming). Calibrated on the BC backward
+/// threshold, pull iff 2·|next level| < |W|, for W's entries reaching d̄
+/// edges of Aᵀ each.
 constexpr double kPullBias = 2.0;
 
 /// Fixed per-level overhead in cost-model units, charged on both directions
@@ -47,13 +48,14 @@ bool bitmap_allowed() noexcept {
 /// caller reported a pull path (cached transpose) exists.
 void decide_direction(const OpDesc &d, ExecPlan &p) {
   const double davg = mean_degree(d);
-  p.cost_push = kCallOverheadUnits + static_cast<double>(d.u_nvals) * davg;
+  p.cost_push = kCallOverheadUnits + static_cast<double>(d.u_edges);
   double probe = davg;
-  if (d.has_terminal && d.u_nvals > 0) {
+  if (d.has_terminal && d.u_edges > 0) {
     // Terminal monoid (`any`): a dot product stops at the first frontier
-    // neighbour, ~out_size/frontier probes in on average.
-    probe = std::min(davg, static_cast<double>(d.out_size) /
-                               static_cast<double>(d.u_nvals));
+    // neighbour. A probed edge comes from the frontier with probability
+    // u_edges / a_nvals, so the first hit is ~a_nvals / u_edges probes in.
+    probe = std::min(davg, static_cast<double>(d.a_nvals) /
+                               static_cast<double>(d.u_edges));
   }
   p.cost_pull = kCallOverheadUnits +
                 kPullBias * static_cast<double>(d.pull_candidates) * probe;

@@ -303,7 +303,7 @@ void write_chrome_trace(std::ostream &os, const std::vector<Span> &spans) {
   if (spans.empty()) t0 = 0;
   os << "{\"traceEvents\":[";
   bool first = true;
-  char num[64];
+  char num[96];
   for (const Span &s : spans) {
     if (!first) os << ",\n";
     first = false;
@@ -319,16 +319,21 @@ void write_chrome_trace(std::ostream &os, const std::vector<Span> &spans) {
     os << "\"" << (is_iteration(s.kind) ? "frontier" : "in_nvals")
        << "\":" << s.in_nvals << ",\"out_nvals\":" << s.out_nvals
        << ",\"direction\":\""
-       << plan::name(static_cast<plan::Direction>(s.direction))
-       << "\",\"format\":\""
-       << plan::name(static_cast<plan::MatFormat>(s.a_format))
-       << "\",\"chosen\":\""
-       << plan::name(static_cast<plan::Chosen>(s.chosen))
-       << "\",\"depth\":" << s.depth
+       << plan::name(static_cast<plan::Direction>(s.direction)) << "\"";
+    const auto fmt = static_cast<plan::MatFormat>(s.a_format);
+    if (fmt != plan::MatFormat::keep) {
+      os << ",\"format\":\"" << plan::name(fmt) << "\"";
+    }
+    if (s.planned) {
+      os << ",\"chosen\":\""
+         << plan::name(static_cast<plan::Chosen>(s.chosen)) << "\"";
+    }
+    os << ",\"depth\":" << s.depth
        << ",\"iter\":" << s.iter << ",\"mask\":" << static_cast<int>(s.mask)
        << ",\"request_id\":" << s.request_id
        << ",\"batch_members\":" << s.batch_members;
-    std::snprintf(num, sizeof(num), ",\"predicted_cost\":%.6g,\"extra\":%.6g",
+    // %.10g keeps integral costs and edge counts exact below 10^10.
+    std::snprintf(num, sizeof(num), ",\"predicted_cost\":%.10g,\"extra\":%.10g",
                   s.predicted_cost, s.extra);
     os << num << "}}";
   }

@@ -8,7 +8,9 @@
 // Aᵀ, and multiply-accumulates — all on the same matrices. Direction
 // optimization is the same push/pull swap as the BFS: the push multiplies by
 // the explicit transpose B = Aᵀ, the pull multiplies by A under a transposed
-// descriptor (a masked dot product), exactly as described in §IV-B.
+// descriptor (a masked dot product), exactly as described in §IV-B. Each
+// sweep prices its push by the edges it scans: the row lengths of A
+// (forward) or Aᵀ (backward) summed over the frontier matrix's entries.
 #pragma once
 
 #include <cstdint>
@@ -65,14 +67,28 @@ int betweenness_centrality(grb::Vector<double> *centrality, const Graph<T> &g,
 
     const double total = static_cast<double>(ns) * static_cast<double>(n);
 
+    // Row pointers for the push prices, taken once: the forward push scans
+    // rows of A, the backward push rows of Aᵀ (when it can run at all).
+    grb::plan::prepare(g.a, grb::plan::MatFormat::csr);
+    const grb::IndexSpan a_rp = g.a.rowptr();
+    grb::IndexSpan at_rp;
+    if (at != nullptr) {
+      grb::plan::prepare(*at, grb::plan::MatFormat::csr);
+      at_rp = at->rowptr();
+    }
+
     // Forward phase: save each level's pattern.
     std::vector<grb::Matrix<grb::Bool>> levels;
     while (frontier.nvals() != 0) {
-      // One span per forward level: batched frontier nnz + the planner's
-      // push/pull choice, so the sweep's switch point shows up in traces.
+      // One span per forward level: batched frontier nnz and edge count +
+      // the planner's push/pull choice, so the sweep's switch point shows up
+      // in traces.
       grb::trace::ScopedSpan lsp(grb::trace::SpanKind::bc_forward);
+      const grb::Index f_edges =
+          lagraph::detail::frontier_edges(a_rp, frontier);
       lsp.set_iter(static_cast<std::int64_t>(levels.size()));
       lsp.set_in_nvals(frontier.nvals());
+      lsp.set_extra(static_cast<double>(f_edges));
       grb::Matrix<grb::Bool> s(ns, n);
       grb::assign(s, frontier, grb::NoAccum{}, grb::Bool(1),
                   grb::Indices::all(), grb::Indices::all(), grb::desc::S);
@@ -88,11 +104,10 @@ int betweenness_centrality(grb::Vector<double> *centrality, const Graph<T> &g,
       // pins push through the plan hint.
       grb::plan::OpDesc od;
       od.op = grb::plan::OpKind::traversal;
-      od.out_size = n;
       od.a_rows = g.a.nrows();
       od.a_cols = g.a.ncols();
       od.a_nvals = g.a.nvals();
-      od.u_nvals = frontier.nvals();
+      od.u_edges = f_edges;
       od.pull_candidates = static_cast<grb::Index>(
           total - static_cast<double>(paths.nvals()));
       od.masked = true;
@@ -127,6 +142,11 @@ int betweenness_centrality(grb::Vector<double> *centrality, const Graph<T> &g,
       // W⟨s(S[i]), r⟩ = bc_update ÷∩ P
       grb::eWiseMult(w, levels[i], grb::NoAccum{}, grb::Div{}, bc_update,
                      paths, rs);
+      // The push scans W's rows of Aᵀ; without Aᵀ it cannot run, is forced
+      // off below, and scans nothing.
+      const grb::Index w_edges =
+          at != nullptr ? lagraph::detail::frontier_edges(at_rp, w) : 0;
+      lsp.set_extra(static_cast<double>(w_edges));
       // W⟨s(S[i-1]), r⟩ = W plus.first Aᵀ — push multiplies by the explicit
       // transpose B = Aᵀ (saxpy, cost ∝ edges out of level i); pull
       // multiplies by A under a transposed descriptor (one masked dot per
@@ -134,11 +154,10 @@ int betweenness_centrality(grb::Vector<double> *centrality, const Graph<T> &g,
       // the explicit Aᵀ is missing — then the hint forces pull instead.
       grb::plan::OpDesc od;
       od.op = grb::plan::OpKind::traversal;
-      od.out_size = n;
       od.a_rows = g.a.nrows();
       od.a_cols = g.a.ncols();
       od.a_nvals = g.a.nvals();
-      od.u_nvals = w.nvals();
+      od.u_edges = w_edges;
       od.pull_candidates = levels[i - 1].nvals();
       od.masked = true;
       od.mask_structural = true;

@@ -7,7 +7,8 @@
 // bfs.cc, §IV-A). The direction-optimizing variant (Alg. 2) switches between
 // that push step and the pull step q⟨¬s(p), r⟩ = Aᵀ any.secondi q on the
 // explicitly cached transpose; the per-level choice comes from the grb::plan
-// cost model (push cost |q|·d̄ vs pull cost over the unvisited candidates,
+// cost model (push cost = the edges leaving q, summed from A's row pointer
+// as GAP's scout_count is, vs pull cost over the unvisited candidates, with
 // early-out credit for the `any` terminal monoid). Advanced variants pin the
 // direction through the plan hint instead of bypassing the planner.
 //
@@ -53,6 +54,11 @@ void bfs_engine(grb::Vector<std::int64_t> *level,
     grb::plan::prepare(lv, grb::plan::iterative_output_format(n));
   }
 
+  // A push scans q's rows of A: each level is priced by their exact length,
+  // read from the row pointer taken here, once per traversal.
+  grb::plan::prepare(a, grb::plan::MatFormat::csr);
+  const grb::IndexSpan rp = a.rowptr();
+
   grb::Index nvisited = 1;
   std::int64_t depth = 0;
 
@@ -60,22 +66,24 @@ void bfs_engine(grb::Vector<std::int64_t> *level,
     const grb::Index nq = q.nvals();
     if (nq == 0) break;
 
-    // One span + burble line per level: frontier size, the planner's
-    // direction, and the level's wall time (GraphBLAST-style per-iteration
-    // instrumentation — an end-to-end timer can't show the switch point).
+    // One span + burble line per level: frontier size and edge count, the
+    // planner's direction, and the level's wall time (GraphBLAST-style
+    // per-iteration instrumentation — an end-to-end timer can't show the
+    // switch point).
     grb::trace::ScopedSpan lsp(grb::trace::SpanKind::bfs_level);
+    const grb::Index nq_edges = frontier_edges(rp, q);
     lsp.set_iter(depth + 1);
     lsp.set_in_nvals(nq);
+    lsp.set_extra(static_cast<double>(nq_edges));
 
     // Plan this level: push scatters the frontier's out-edges, pull probes
     // the unvisited rows of Aᵀ with early exit (any is a terminal monoid).
     grb::plan::OpDesc od;
     od.op = grb::plan::OpKind::traversal;
-    od.out_size = n;
     od.a_rows = a.nrows();
     od.a_cols = a.ncols();
     od.a_nvals = a.nvals();
-    od.u_nvals = nq;
+    od.u_edges = nq_edges;
     od.pull_candidates = n - nvisited;
     od.masked = true;
     od.mask_complement = true;

@@ -66,6 +66,44 @@ struct Graph {
   }
 };
 
+namespace detail {
+
+/// The edges a push step scans from frontier `f`: the row lengths of a CSR
+/// row pointer `rp` summed over f's entries — GAP's scout_count, the exact
+/// work the traversal cost model prices a push at. One width dispatch per
+/// call; `rp` is taken once per traversal.
+template <typename T>
+Index frontier_edges(grb::IndexSpan rp, const grb::Vector<T> &f) {
+  return grb::detail::dispatch_width(rp.width(), [&](auto tag) {
+    const auto r = rp.template as<decltype(tag)>();
+    Index e = 0;
+    if (f.format() == grb::Vector<T>::Format::bitmap) {
+      // Branch-free: a frontier's presence pattern is random, so a branch
+      // per slot would mispredict.
+      const std::uint8_t *present = f.bitmap_present();
+      const Index n = f.size();
+      for (Index v = 0; v < n; ++v) e += present[v] * (r[v + 1] - r[v]);
+    } else {
+      for (const Index v : f.sparse_indices()) e += r[v + 1] - r[v];
+    }
+    return e;
+  });
+}
+
+/// Batched form: a frontier matrix's row i is source i's frontier, so the
+/// push scans row j of the operand once per entry (i, j).
+template <typename T>
+Index frontier_edges(grb::IndexSpan rp, const grb::Matrix<T> &f) {
+  return grb::detail::dispatch_width(rp.width(), [&](auto tag) {
+    const auto r = rp.template as<decltype(tag)>();
+    Index e = 0;
+    f.for_each([&](Index, Index j, const T &) { e += r[j + 1] - r[j]; });
+    return e;
+  });
+}
+
+}  // namespace detail
+
 /// LAGraph_New: construct a graph, taking ownership of the matrix (the
 /// source matrix is left empty).
 template <typename T>

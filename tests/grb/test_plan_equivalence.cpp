@@ -384,13 +384,14 @@ Vector<std::int64_t> bfs_levels(const Matrix<double> &a,
   Index nvisited = 1;
   std::int64_t depth = 0;
   while (q.nvals() != 0) {
+    Index q_edges = 0;  // what a push over q scans
+    q.for_each([&](Index v, std::int64_t) { q_edges += a.row_nvals(v); });
     grb::plan::OpDesc od;
     od.op = grb::plan::OpKind::traversal;
-    od.out_size = n;
     od.a_rows = n;
     od.a_cols = n;
     od.a_nvals = a.nvals();
-    od.u_nvals = q.nvals();
+    od.u_edges = q_edges;
     od.pull_candidates = n - nvisited;
     od.masked = true;
     od.mask_complement = true;
@@ -444,15 +445,16 @@ INSTANTIATE_TEST_SUITE_P(Graphs, PlanEquivalence, ::testing::Bool(),
 
 // ---- decision-precedence unit tests ------------------------------------
 
-grb::plan::OpDesc traversal_desc(Index n, Index nq, Index candidates,
+// A traversal over an n-node graph of mean degree 16 whose frontier holds
+// `edges` out-edges.
+grb::plan::OpDesc traversal_desc(Index n, Index edges, Index candidates,
                                  bool has_transpose) {
   grb::plan::OpDesc od;
   od.op = grb::plan::OpKind::traversal;
-  od.out_size = n;
   od.a_rows = n;
   od.a_cols = n;
-  od.a_nvals = n * 16;  // mean degree 16
-  od.u_nvals = nq;
+  od.a_nvals = n * 16;
+  od.u_edges = edges;
   od.pull_candidates = candidates;
   od.masked = true;
   od.mask_complement = true;
@@ -465,22 +467,46 @@ grb::plan::OpDesc traversal_desc(Index n, Index nq, Index candidates,
 TEST(PlanDecision, CostModelPicksPullOnDenseFrontier) {
   ConfigGuard guard;
   ConfigGuard::restore({0, false, false, grb::ForceFormat::none});
-  // Dense frontier, few unvisited candidates: pull is clearly cheaper.
-  auto od = traversal_desc(4096, 2048, 256, true);
+  // Dense frontier (2,048 nodes of degree 16), few unvisited candidates:
+  // pull is clearly cheaper.
+  auto od = traversal_desc(4096, 2048 * 16, 256, true);
   auto pl = grb::plan::make_plan(od);
   EXPECT_EQ(pl.direction, grb::plan::Direction::pull);
   EXPECT_EQ(pl.chosen, grb::plan::Chosen::cost_model);
   EXPECT_LT(pl.cost_pull, pl.cost_push);
   // Tiny frontier: push.
-  od = traversal_desc(4096, 2, 4094, true);
+  od = traversal_desc(4096, 2 * 16, 4094, true);
   pl = grb::plan::make_plan(od);
   EXPECT_EQ(pl.direction, grb::plan::Direction::push);
+}
+
+TEST(PlanDecision, PushIsPricedByFrontierEdges) {
+  ConfigGuard guard;
+  ConfigGuard::restore({0, false, false, grb::ForceFormat::none});
+  // Two frontiers of 512 nodes with 2,048 unvisited candidates left. Priced
+  // as 512 · d̄ the two would tie; priced by their out-edges, 512 leaves
+  // (2 edges each) push and 512 hubs (40 edges each) pull.
+  constexpr Index kFrontier = 512;
+  auto leaves = traversal_desc(4096, 2 * kFrontier, 2048, true);
+  auto hubs = traversal_desc(4096, 40 * kFrontier, 2048, true);
+  const auto pl_leaves = grb::plan::make_plan(leaves);
+  const auto pl_hubs = grb::plan::make_plan(hubs);
+  EXPECT_EQ(pl_leaves.direction, grb::plan::Direction::push);
+  EXPECT_EQ(pl_hubs.direction, grb::plan::Direction::pull);
+  // The push side is the edge count plus the per-call overhead both pay.
+  EXPECT_EQ(pl_hubs.cost_push - pl_leaves.cost_push,
+            static_cast<double>(38 * kFrontier));
+  // A frontier with no out-edges pushes for the overhead alone.
+  const auto pl_none =
+      grb::plan::make_plan(traversal_desc(4096, 0, 2048, true));
+  EXPECT_EQ(pl_none.direction, grb::plan::Direction::push);
+  EXPECT_EQ(pl_none.cost_push, pl_leaves.cost_push - 2 * kFrontier);
 }
 
 TEST(PlanDecision, PullNeedsTransposePath) {
   ConfigGuard guard;
   ConfigGuard::restore({0, false, false, grb::ForceFormat::none});
-  auto od = traversal_desc(4096, 2048, 256, /*has_transpose=*/false);
+  auto od = traversal_desc(4096, 2048 * 16, 256, /*has_transpose=*/false);
   auto pl = grb::plan::make_plan(od);
   EXPECT_EQ(pl.direction, grb::plan::Direction::push);
   // Even a config override cannot conjure a pull path.
@@ -492,7 +518,7 @@ TEST(PlanDecision, PullNeedsTransposePath) {
 TEST(PlanDecision, PrecedenceHintOverConfigOverModel) {
   ConfigGuard guard;
   ConfigGuard::restore({0, false, false, grb::ForceFormat::none});
-  auto od = traversal_desc(4096, 2048, 256, true);  // model says pull
+  auto od = traversal_desc(4096, 2048 * 16, 256, true);  // model says pull
 
   grb::config().force_push = true;  // config says push
   auto pl = grb::plan::make_plan(od);
@@ -508,7 +534,7 @@ TEST(PlanDecision, PrecedenceHintOverConfigOverModel) {
 TEST(PlanDecision, OverriddenCounterOnlyOnOutcomeChange) {
   ConfigGuard guard;
   ConfigGuard::restore({0, false, false, grb::ForceFormat::none});
-  auto od = traversal_desc(4096, 2, 4094, true);  // model says push
+  auto od = traversal_desc(4096, 2 * 16, 4094, true);  // model says push
   const auto before = grb::stats().plans_overridden.load();
   grb::config().force_push = true;  // agrees with the model: no override
   (void)grb::plan::make_plan(od);

@@ -362,18 +362,15 @@ TEST(Trace, OnlyTraversalLevelsCarryAPredictedCost) {
     grb::vxm(w, grb::no_mask, grb::NoAccum{}, grb::PlusTimes<double>{}, u, a);
 
     // One BFS level over the same graph, planned as bfs_engine plans it:
-    // frontier u, only the source visited, Aᵀ = A standing in for the
-    // cached transpose.
-    grb::plan::ExecPlan level_plan;
-    {
-      grb::trace::ScopedSpan lsp(SpanKind::bfs_level);
+    // frontier u, priced by the out-edges it holds (3 per node), only the
+    // source visited, Aᵀ = A standing in for the cached transpose.
+    auto level_desc = [&](grb::Index u_edges) {
       grb::plan::OpDesc od;
       od.op = grb::plan::OpKind::traversal;
-      od.out_size = n;
       od.a_rows = a.nrows();
       od.a_cols = a.ncols();
       od.a_nvals = a.nvals();
-      od.u_nvals = u.nvals();
+      od.u_edges = u_edges;
       od.pull_candidates = n - 1;
       od.masked = true;
       od.mask_complement = true;
@@ -381,7 +378,16 @@ TEST(Trace, OnlyTraversalLevelsCarryAPredictedCost) {
       od.mask_nvals = 1;
       od.has_terminal = true;
       od.has_transpose = true;
-      level_plan = grb::plan::make_plan(od);
+      return od;
+    };
+    grb::Index u_edges = 0;
+    u.for_each([&](grb::Index v, double) { u_edges += a.row_nvals(v); });
+    EXPECT_EQ(u_edges, 3 * u.nvals());
+    grb::plan::ExecPlan level_plan;
+    {
+      grb::trace::ScopedSpan lsp(SpanKind::bfs_level);
+      lsp.set_extra(static_cast<double>(u_edges));
+      level_plan = grb::plan::make_plan(level_desc(u_edges));
       lsp.set_plan(level_plan);
     }
 
@@ -403,8 +409,73 @@ TEST(Trace, OnlyTraversalLevelsCarryAPredictedCost) {
     EXPECT_EQ(level_spans[0].direction,
               static_cast<std::uint8_t>(level_plan.direction));
     EXPECT_EQ(level_spans[0].predicted_cost, chosen);
+    // The span carries the edge count its push was priced from: the plan
+    // rebuilt from it is the plan the level recorded.
+    EXPECT_EQ(level_spans[0].extra, static_cast<double>(u_edges));
+    const auto rebuilt = grb::plan::make_plan(
+        level_desc(static_cast<grb::Index>(level_spans[0].extra)));
+    EXPECT_EQ(rebuilt.direction, level_plan.direction);
+    EXPECT_EQ(rebuilt.cost_push, level_plan.cost_push);
+    EXPECT_EQ(rebuilt.cost_pull, level_plan.cost_pull);
   }
   grb::config().force_index_width = saved;
+}
+
+TEST(Trace, ChromeExportNamesOnlyDecisionsThatWereMade) {
+  // `chosen` is exported only for spans whose op built a plan, and `format`
+  // only when that plan fixed a matrix format: a span that decided nothing
+  // must not read as a cost-model pick or a kept format.
+  TraceGuard guard(1);
+  ThreadGuard tg(1);
+  constexpr grb::Index n = 32;
+  grb::Matrix<double> a(n, n);
+  for (grb::Index i = 0; i < n; ++i) {
+    a.set_element(i, (i + 1) % n, 1.0);
+    a.set_element(i, (i + 5) % n, 1.0);
+  }
+  a.finalize();
+  grb::Vector<double> u(n);
+  u.set_element(3, 1.0);
+  grb::trace::reset();
+
+  grb::Matrix<double> c(n, n);
+  grb::apply(c, grb::no_mask, grb::NoAccum{},
+             [](const double &x) { return x + 1.0; }, a);  // no plan
+  grb::Vector<double> w(n);
+  grb::mxv(w, grb::no_mask, grb::NoAccum{}, grb::PlusTimes<double>{}, a,
+           u);  // a plan that fixes no matrix format
+  grb::Matrix<double> d(n, n);
+  grb::mxm(d, a, grb::NoAccum{}, grb::PlusTimes<double>{}, a, a,
+           grb::desc::T1);  // the masked dot path fixes both formats
+
+  auto export_of = [](const Span &s) {
+    std::ostringstream os;
+    grb::trace::write_chrome_trace(os, {s});
+    return os.str();
+  };
+  const auto applies = spans_of(SpanKind::apply);
+  const auto mxvs = spans_of(SpanKind::mxv);
+  const auto mxms = spans_of(SpanKind::mxm);
+  ASSERT_EQ(applies.size(), 1u);
+  ASSERT_EQ(mxvs.size(), 1u);
+  ASSERT_EQ(mxms.size(), 1u);
+
+  EXPECT_FALSE(applies[0].planned);
+  const std::string apply_json = export_of(applies[0]);
+  EXPECT_EQ(apply_json.find("\"chosen\""), std::string::npos) << apply_json;
+  EXPECT_EQ(apply_json.find("\"format\""), std::string::npos) << apply_json;
+
+  EXPECT_TRUE(mxvs[0].planned);
+  const std::string mxv_json = export_of(mxvs[0]);
+  EXPECT_NE(mxv_json.find("\"chosen\":\"cost model\""), std::string::npos)
+      << mxv_json;
+  EXPECT_EQ(mxv_json.find("\"format\""), std::string::npos) << mxv_json;
+
+  EXPECT_TRUE(mxms[0].planned);
+  const std::string mxm_json = export_of(mxms[0]);
+  EXPECT_NE(mxm_json.find("\"chosen\""), std::string::npos) << mxm_json;
+  EXPECT_NE(mxm_json.find("\"format\":\"csr\""), std::string::npos)
+      << mxm_json;
 }
 
 TEST(Trace, MatrixEwiseAndMxmReduceBuildNoPlan) {

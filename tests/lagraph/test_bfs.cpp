@@ -4,7 +4,9 @@
 // parameterized over generated graphs.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <type_traits>
+#include <vector>
 
 #include "common/test_graphs.hpp"
 
@@ -140,6 +142,59 @@ TEST(Bfs, CalibrationRanksExactlyTheLevelSpans) {
   ASSERT_EQ(report.worst.size(), levels);
   for (const auto &row : report.worst) {
     EXPECT_EQ(row.kind, grb::trace::SpanKind::bfs_level);
+  }
+}
+
+TEST(Bfs, HubFrontierIsPricedByItsEdgesAndPulled) {
+  // Source 0 links to 8 hubs, and every hub to each of 200 leaves. The
+  // second level's frontier is the 8 hubs: 8 nodes holding 1,608 edges,
+  // where 8 · d̄ would count 123. Priced by its edges, a push costs 1,608
+  // scans, while a pull probes the 200 unvisited leaves and finds a hub at
+  // each one's first in-edge. Both BFS kernels must pull that level.
+  constexpr Index kHubs = 8;
+  constexpr Index kLeaves = 200;
+  gen::EdgeList el;
+  el.n = 1 + kHubs + kLeaves;
+  for (Index h = 1; h <= kHubs; ++h) {
+    el.push(0, h);
+    for (Index l = 0; l < kLeaves; ++l) el.push(h, 1 + kHubs + l);
+  }
+  gen::symmetrize(el);
+  auto t = TestGraph::from_edges("hubs", std::move(el), false);
+  const std::uint64_t hub_edges = kHubs * (1 + kLeaves);
+
+  char msg[LAGRAPH_MSG_LEN];
+  grb::config().trace_sample_every = 1;
+  grb::trace::reset();
+  grb::Vector<std::int64_t> level;
+  const int rc_do = lagraph::advanced::bfs_do(&level, nullptr, t.lg, 0, msg);
+  grb::Matrix<std::int64_t> levels;
+  const Index src[] = {0};
+  const int rc_ms = lagraph::experimental::msbfs_levels(&levels, t.lg, src,
+                                                        msg);
+  const std::vector<grb::trace::Span> spans = grb::trace::collect();
+  grb::config().trace_sample_every = 0;
+  grb::trace::reset();
+  ASSERT_EQ(rc_do, LAGRAPH_OK) << msg;
+  ASSERT_EQ(rc_ms, LAGRAPH_OK) << msg;
+  check_levels(t, level, 0);
+
+  const auto push = static_cast<std::uint8_t>(grb::plan::Direction::push);
+  const auto pull = static_cast<std::uint8_t>(grb::plan::Direction::pull);
+  for (const auto kind :
+       {grb::trace::SpanKind::bfs_level, grb::trace::SpanKind::msbfs_level}) {
+    SCOPED_TRACE(grb::trace::name(kind));
+    std::map<std::int64_t, grb::trace::Span> by_iter;
+    for (const auto &s : spans) {
+      if (s.kind == kind) by_iter[s.iter] = s;
+    }
+    ASSERT_TRUE(by_iter.count(1) && by_iter.count(2));
+    EXPECT_EQ(by_iter[1].in_nvals, 1u);
+    EXPECT_EQ(by_iter[1].extra, static_cast<double>(kHubs));
+    EXPECT_EQ(by_iter[1].direction, push);
+    EXPECT_EQ(by_iter[2].in_nvals, kHubs);
+    EXPECT_EQ(by_iter[2].extra, static_cast<double>(hub_edges));
+    EXPECT_EQ(by_iter[2].direction, pull);
   }
 }
 

@@ -259,9 +259,11 @@ TEST(RequestTracing, LevelSpanPredictsItsOwnLevel) {
   for (Index s = 0; s < kSources; ++s) {
     futs.push_back(engine.submit(bfs_req(s)));
   }
+  std::map<std::uint64_t, grb::Vector<std::int64_t>> level_of;
   for (auto &f : futs) {
-    const QueryResult r = f.get();
+    QueryResult r = f.get();
     ASSERT_EQ(r.status, LAGRAPH_OK) << r.error;
+    level_of.emplace(r.request_id, std::move(r.level));
   }
   engine.stop();
 
@@ -282,16 +284,29 @@ TEST(RequestTracing, LevelSpanPredictsItsOwnLevel) {
   for (auto &[id, levels] : levels_of) {
     std::sort(levels.begin(), levels.end(),
               [](const auto &x, const auto &y) { return x.iter < y.iter; });
+    ASSERT_EQ(level_of.count(id), 1u) << "request " << id;
+    const grb::Vector<std::int64_t> &depth_of = level_of.at(id);
     Index nvisited = 1;  // the source
     for (const auto &s : levels) {
+      // The level's frontier, rebuilt from the returned levels, holds the
+      // out-edges the span says its push was priced from.
+      Index nodes = 0;
+      Index edges = 0;
+      depth_of.for_each([&](Index v, std::int64_t d) {
+        if (d != s.iter - 1) return;
+        ++nodes;
+        edges += g.a.row_nvals(v);
+      });
+      EXPECT_EQ(nodes, s.in_nvals) << "request " << id << " level " << s.iter;
+      EXPECT_EQ(s.extra, static_cast<double>(edges))
+          << "request " << id << " level " << s.iter;
       // The traversal OpDesc exactly as msbfs_levels builds it.
       grb::plan::OpDesc od;
       od.op = grb::plan::OpKind::traversal;
-      od.out_size = n;
       od.a_rows = g.a.nrows();
       od.a_cols = g.a.ncols();
       od.a_nvals = g.a.nvals();
-      od.u_nvals = s.in_nvals;
+      od.u_edges = static_cast<Index>(s.extra);
       od.pull_candidates = n - nvisited;
       od.masked = true;
       od.mask_complement = true;
@@ -310,6 +325,9 @@ TEST(RequestTracing, LevelSpanPredictsItsOwnLevel) {
             << s.in_nvals;
         push_frontiers_by_bucket[std::bit_width(s.in_nvals)].insert(
             s.in_nvals);
+      } else {
+        EXPECT_EQ(s.predicted_cost, fresh.cost_pull)
+            << "request " << id << " level " << s.iter;
       }
       nvisited += s.out_nvals;
     }
