@@ -8,11 +8,13 @@
 // Vector forms keep the input's format. On a bitmap input both write each
 // kept entry straight into its result slot, and the slots are the bitmap
 // result. On a sparse input apply keeps u's index list and maps its values,
-// while select filters, so its chunks emit into their own buffers and
-// concatenate in chunk order (grb/parallel.hpp). All match the serial walk
-// exactly.
+// while select filters through detail::emit_sparse: arrays reserved to |u|,
+// written directly when the input is one chunk (grb/parallel.hpp). Matrix
+// select counts each row's kept entries, then fills a CSR of exactly that
+// size. All match the serial walk exactly.
 #pragma once
 
+#include <numeric>
 #include <vector>
 
 #include "grb/mask.hpp"
@@ -169,23 +171,17 @@ void select(Vector<W> &w, const MaskT &mask, Accum accum, F f,
   if (u.format() == Vector<U>::Format::sparse) {
     auto ui = u.sparse_indices();
     auto uv = u.sparse_values();
-    const Index nv = static_cast<Index>(ui.size());
-    auto bounds = detail::partition_even(nv, parts);
-    const int nchunks = static_cast<int>(bounds.size()) - 1;
-    std::vector<std::vector<Index>> cidx(static_cast<std::size_t>(nchunks));
-    std::vector<std::vector<W>> cval(static_cast<std::size_t>(nchunks));
-    detail::for_each_chunk(bounds, [&](int c, Index lo, Index hi) {
-      for (Index p = lo; p < hi; ++p) {
-        if (f(uv[p], ui[p], Index{0}, th)) {
-          cidx[c].push_back(ui[p]);
-          cval[c].push_back(static_cast<W>(uv[p]));
-        }
-      }
-    });
-    std::vector<Index> idx;
-    std::vector<W> val;
-    detail::concat_chunks(cidx, cval, idx, val);
-    t.adopt_sparse(std::move(idx), std::move(val));
+    t = detail::emit_sparse<W>(
+        n, detail::partition_even(static_cast<Index>(ui.size()), parts),
+        [](Index lo, Index hi) { return hi - lo; },
+        [&](Index lo, Index hi, std::vector<Index> &oi, std::vector<W> &ov) {
+          for (Index p = lo; p < hi; ++p) {
+            if (f(uv[p], ui[p], Index{0}, th)) {
+              oi.push_back(ui[p]);
+              ov.push_back(static_cast<W>(uv[p]));
+            }
+          }
+        });
   } else {
     const std::uint8_t *up = u.bitmap_present();
     const U *uvp = u.bitmap_values();
@@ -219,82 +215,68 @@ void select(Matrix<W> &c, const MaskT &mask, Accum accum, F f,
   const Index m = a.nrows();
   a.ensure_sorted();
   const U th = static_cast<U>(thunk);
-
   const int parts = plan::chunk_parts(a.nvals(), 2);
-  if (parts == 1 && a.format() == Matrix<U>::Format::csr) {
-    // Serial CSR fast path: one width dispatch, then a flat filter over the
-    // typed spans (no per-row finish() and dispatch).
+
+  // Rows filter independently. A count pass sizes every row of the result
+  // (its row pointer), then a fill pass writes each kept entry into its
+  // slot: one allocation of exactly the kept entries, no per-chunk buffers.
+  // Both passes run over the same row chunks; scan(i, visit) feeds row i's
+  // entries to visit(j, x).
+  auto filter = [&](const std::vector<Index> &bounds, auto scan) {
     std::vector<Index> rp(static_cast<std::size_t>(m) + 1, 0);
-    std::vector<Index> ci;
-    std::vector<W> cv;
-    detail::dispatch_width(a.index_width(), [&](auto tag) {
+    detail::for_each_chunk(bounds, [&](int, Index lo, Index hi) {
+      for (Index i = lo; i < hi; ++i) {
+        Index kept = 0;
+        scan(i, [&](Index j, const U &x) {
+          if (f(x, i, j, th)) ++kept;
+        });
+        rp[i + 1] = kept;
+      }
+    });
+    std::partial_sum(rp.begin(), rp.end(), rp.begin());
+    std::vector<Index> ci(static_cast<std::size_t>(rp[m]));
+    std::vector<W> cv(static_cast<std::size_t>(rp[m]));
+    detail::for_each_chunk(bounds, [&](int, Index lo, Index hi) {
+      for (Index i = lo; i < hi; ++i) {
+        Index at = rp[i];
+        scan(i, [&](Index j, const U &x) {
+          if (f(x, i, j, th)) {
+            ci[at] = j;
+            cv[at] = static_cast<W>(x);
+            ++at;
+          }
+        });
+      }
+    });
+    Matrix<W> out(m, a.ncols());
+    out.adopt_csr(std::move(rp), std::move(ci), std::move(cv), false);
+    return out;
+  };
+
+  Matrix<W> t;
+  if (a.format() == Matrix<U>::Format::csr) {
+    // One width dispatch; rows are chunked by the row pointer (the work
+    // prefix) and scanned over typed spans.
+    t = detail::dispatch_width(a.index_width(), [&](auto tag) {
       using I = decltype(tag);
       auto arp = a.rowptr().template as<I>();
       auto acx = a.colidx().template as<I>();
       auto avx = a.values();
-      for (Index i = 0; i < m; ++i) {
-        for (std::size_t p = arp[i]; p < arp[i + 1]; ++p) {
-          const Index j = acx[p];
-          if (f(avx[p], i, j, th)) {
-            ci.push_back(j);
-            cv.push_back(static_cast<W>(avx[p]));
-          }
-        }
-        rp[i + 1] = static_cast<Index>(ci.size());
-      }
+      return filter(parts > 1 ? detail::partition_rows_by_work(arp, parts)
+                              : detail::partition_even(m, 1),
+                    [arp, acx, avx](Index i, auto &&visit) {
+                      for (std::size_t p = arp[i]; p < arp[i + 1]; ++p) {
+                        visit(static_cast<Index>(acx[p]), avx[p]);
+                      }
+                    });
     });
-    Matrix<W> t(m, a.ncols());
-    t.adopt_csr(std::move(rp), std::move(ci), std::move(cv), false);
-    sp.set_out_nvals(t.nvals());
-    detail::write_result(c, std::move(t), mask, accum, d);
-    return;
+  } else {
+    t = filter(parts > 1 ? detail::partition_rows_by_work(
+                               m, parts,
+                               [&](Index i) { return a.row_nvals(i) + 1; })
+                         : detail::partition_even(m, 1),
+               [&a](Index i, auto &&visit) { a.for_each_in_row(i, visit); });
   }
-
-  // Rows filter independently: chunk by row nnz, emit per-chunk buffers,
-  // stitch the row pointer from per-chunk row lengths (as in ewise_mat).
-  std::vector<Index> bounds =
-      parts > 1 ? detail::partition_rows_by_work(
-                      m, parts, [&](Index i) { return a.row_nvals(i) + 1; })
-                : detail::partition_even(m, 1);
-  const int nchunks = static_cast<int>(bounds.size()) - 1;
-  std::vector<std::vector<Index>> crlen(static_cast<std::size_t>(nchunks));
-  std::vector<std::vector<Index>> cci(static_cast<std::size_t>(nchunks));
-  std::vector<std::vector<W>> ccv(static_cast<std::size_t>(nchunks));
-  detail::for_each_chunk(bounds, [&](int c, Index lo, Index hi) {
-    auto &rlen = crlen[c];
-    auto &ci = cci[c];
-    auto &cv = ccv[c];
-    rlen.reserve(static_cast<std::size_t>(hi - lo));
-    for (Index i = lo; i < hi; ++i) {
-      const std::size_t before = ci.size();
-      a.for_each_in_row(i, [&](Index j, const U &x) {
-        if (f(x, i, j, th)) {
-          ci.push_back(j);
-          cv.push_back(static_cast<W>(x));
-        }
-      });
-      rlen.push_back(static_cast<Index>(ci.size() - before));
-    }
-  });
-
-  std::vector<Index> rp(static_cast<std::size_t>(m) + 1, 0);
-  {
-    Index at = 0;
-    Index i = 0;
-    for (int cc = 0; cc < nchunks; ++cc) {
-      for (Index len : crlen[cc]) {
-        rp[i] = at;
-        at += len;
-        ++i;
-      }
-    }
-    rp[m] = at;
-  }
-  std::vector<Index> ci;
-  std::vector<W> cv;
-  detail::concat_chunks(cci, ccv, ci, cv);
-  Matrix<W> t(m, a.ncols());
-  t.adopt_csr(std::move(rp), std::move(ci), std::move(cv), false);
   sp.set_out_nvals(t.nvals());
   detail::write_result(c, std::move(t), mask, accum, d);
 }
@@ -352,6 +334,8 @@ void vxm_select_range(Vector<W> &w, Vector<W> &pruned, SR sr,
   // predicates over w's (ascending) entries.
   std::vector<Index> idx;
   std::vector<W> val;
+  idx.reserve(static_cast<std::size_t>(w.nvals()));
+  val.reserve(static_cast<std::size_t>(w.nvals()));
   w.for_each([&](Index i, const W &x) {
     if (ValueGe{}(x, i, Index{0}, lo) && ValueLt{}(x, i, Index{0}, hi)) {
       idx.push_back(i);

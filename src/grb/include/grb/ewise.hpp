@@ -8,9 +8,12 @@
 //
 // All paths are parallel (grb/parallel.hpp): the index space is split into
 // contiguous chunks. Two bitmap vectors give a bitmap result whose slots
-// each chunk fills in place; the sparse paths emit into per-chunk buffers
-// that concatenate in chunk order. Position-wise ops have no cross-chunk
-// state, so the result is identical to the serial walk for any thread count.
+// each chunk fills in place; the sparse paths emit through emit_sparse,
+// reserved to |u| + |v| for a union and min(|u|, |v|) for an intersection,
+// straight into the result when the operands are one chunk and into
+// per-chunk buffers concatenated in chunk order otherwise. Position-wise
+// ops have no cross-chunk state, so the result is identical to the serial
+// walk for any thread count.
 #pragma once
 
 #include <algorithm>
@@ -81,8 +84,6 @@ Vector<Z> ewise_vec(Op op, const Vector<U> &u, const Vector<V> &v) {
     return t;
   }
 
-  std::vector<Index> idx;
-  std::vector<Z> val;
   auto combine = [&](std::vector<Index> &oi, std::vector<Z> &ov, Index i,
                      const U *x, const V *y) {
     if (x != nullptr && y != nullptr) {
@@ -99,29 +100,15 @@ Vector<Z> ewise_vec(Op op, const Vector<U> &u, const Vector<V> &v) {
     }
   };
 
-  // Chunked emit: run `body(chunk, lo, hi, oi, ov)` over an even split of
-  // [0, limit) and concatenate the per-chunk buffers in order.
-  auto run_chunked = [&](Index limit, Index work, auto &&body) {
-    const int parts = plan::chunk_parts(work, 2);
-    auto bounds = partition_even(limit, parts);
-    const int nchunks = static_cast<int>(bounds.size()) - 1;
-    if (nchunks <= 1) {
-      body(bounds[0], bounds.back(), idx, val);
-      return;
-    }
-    std::vector<std::vector<Index>> cidx(static_cast<std::size_t>(nchunks));
-    std::vector<std::vector<Z>> cval(static_cast<std::size_t>(nchunks));
-    for_each_chunk(bounds, [&](int c, Index lo, Index hi) {
-      body(lo, hi, cidx[c], cval[c]);
-    });
-    concat_chunks(cidx, cval, idx, val);
-  };
-
   // Mixed formats remain only for an intersection (see the planner note
-  // above).
+  // above). Every sparse branch emits through emit_sparse, its buffers
+  // reserved to the most entries a chunk can produce.
+  const Index nu = u.nvals();
+  const Index nv = v.nvals();
   const bool u_sparse = u.format() == Vector<U>::Format::sparse;
   const bool v_sparse = v.format() == Vector<V>::Format::sparse;
   assert(!UnionMode || (u_sparse && v_sparse));
+  Vector<Z> t(n);
   if (!u_sparse) {
     // Intersection with a bitmap u and a sparse v: walk v's entries and
     // probe u — O(nnz(v)), not O(n).
@@ -129,28 +116,30 @@ Vector<Z> ewise_vec(Op op, const Vector<U> &u, const Vector<V> &v) {
     const U *uv = u.bitmap_values();
     auto vi = v.sparse_indices();
     auto vv = v.sparse_values();
-    run_chunked(static_cast<Index>(vi.size()), static_cast<Index>(vi.size()),
-                [&](Index lo, Index hi, std::vector<Index> &oi,
-                    std::vector<Z> &ov) {
-                  for (Index q = lo; q < hi; ++q) {
-                    const Index i = vi[q];
-                    if (up[i]) combine(oi, ov, i, &uv[i], &vv[q]);
-                  }
-                });
+    t = emit_sparse<Z>(
+        n, partition_even(nv, plan::chunk_parts(nv, 2)),
+        [&](Index lo, Index hi) { return std::min(hi - lo, nu); },
+        [&](Index lo, Index hi, std::vector<Index> &oi, std::vector<Z> &ov) {
+          for (Index q = lo; q < hi; ++q) {
+            const Index i = vi[q];
+            if (up[i]) combine(oi, ov, i, &uv[i], &vv[q]);
+          }
+        });
   } else if (!v_sparse) {
     // The mirror case: walk u's entries and probe v.
     const std::uint8_t *vp = v.bitmap_present();
     const V *vv = v.bitmap_values();
     auto ui = u.sparse_indices();
     auto uv = u.sparse_values();
-    run_chunked(static_cast<Index>(ui.size()), static_cast<Index>(ui.size()),
-                [&](Index lo, Index hi, std::vector<Index> &oi,
-                    std::vector<Z> &ov) {
-                  for (Index p = lo; p < hi; ++p) {
-                    const Index i = ui[p];
-                    if (vp[i]) combine(oi, ov, i, &uv[p], &vv[i]);
-                  }
-                });
+    t = emit_sparse<Z>(
+        n, partition_even(nu, plan::chunk_parts(nu, 2)),
+        [&](Index lo, Index hi) { return std::min(hi - lo, nv); },
+        [&](Index lo, Index hi, std::vector<Index> &oi, std::vector<Z> &ov) {
+          for (Index p = lo; p < hi; ++p) {
+            const Index i = ui[p];
+            if (vp[i]) combine(oi, ov, i, &uv[p], &vv[i]);
+          }
+        });
   } else {
     // Sorted sparse-sparse merge, split by *position* ranges of [0, n):
     // each chunk merges the sub-ranges of u and v that fall in [lo, hi),
@@ -159,17 +148,17 @@ Vector<Z> ewise_vec(Op op, const Vector<U> &u, const Vector<V> &v) {
     auto uv = u.sparse_values();
     auto vi = v.sparse_indices();
     auto vv = v.sparse_values();
-    run_chunked(
-        n, static_cast<Index>(ui.size() + vi.size()),
+    t = emit_sparse<Z>(
+        n, partition_even(n, plan::chunk_parts(nu + nv, 2)),
+        [&](Index lo, Index hi) {
+          const auto [p, pe] = positions_in(ui, lo, hi);
+          const auto [q, qe] = positions_in(vi, lo, hi);
+          return static_cast<Index>(UnionMode ? (pe - p) + (qe - q)
+                                              : std::min(pe - p, qe - q));
+        },
         [&](Index lo, Index hi, std::vector<Index> &oi, std::vector<Z> &ov) {
-          std::size_t p = static_cast<std::size_t>(
-              std::lower_bound(ui.begin(), ui.end(), lo) - ui.begin());
-          std::size_t q = static_cast<std::size_t>(
-              std::lower_bound(vi.begin(), vi.end(), lo) - vi.begin());
-          const std::size_t pe = static_cast<std::size_t>(
-              std::lower_bound(ui.begin(), ui.end(), hi) - ui.begin());
-          const std::size_t qe = static_cast<std::size_t>(
-              std::lower_bound(vi.begin(), vi.end(), hi) - vi.begin());
+          auto [p, pe] = positions_in(ui, lo, hi);
+          auto [q, qe] = positions_in(vi, lo, hi);
           while (p < pe || q < qe) {
             if (q >= qe || (p < pe && ui[p] < vi[q])) {
               combine(oi, ov, ui[p], &uv[p], nullptr);
@@ -185,8 +174,6 @@ Vector<Z> ewise_vec(Op op, const Vector<U> &u, const Vector<V> &v) {
           }
         });
   }
-  Vector<Z> t(n);
-  t.adopt_sparse(std::move(idx), std::move(val));
   sp.set_out_nvals(t.nvals());
   return t;
 }

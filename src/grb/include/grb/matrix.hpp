@@ -50,6 +50,89 @@
 #include "grb/types.hpp"
 
 namespace grb {
+namespace detail {
+
+/// One stable counting-sort pass, as build() runs it: lists the positions
+/// src(0), ..., src(nz - 1) in dst ordered by key(p) ∈ [0, nkeys), ties in
+/// src order. A key out of range throws index_out_of_bounds. Above kParallelGrain (and when the
+/// per-chunk count tables stay within a few times nz) the positions are cut
+/// into chunks: each counts its keys, the (key, chunk) slices are laid out
+/// key-major, and each chunk scatters into its own slices — the serial
+/// order, since chunk order is src order within every key.
+template <typename Src, typename Key>
+void counting_scatter(std::size_t nz, Src &&src, Index nkeys, Key &&key,
+                      std::size_t *dst) {
+  int nthreads = effective_threads();
+  if (nz < kParallelGrain ||
+      static_cast<std::size_t>(nthreads) *
+              (static_cast<std::size_t>(nkeys) + 1) >
+          4 * nz + 1024) {
+    nthreads = 1;
+  }
+  std::vector<Index> start(static_cast<std::size_t>(nkeys) + 1, 0);
+  if (nthreads <= 1) {
+    for (std::size_t q = 0; q < nz; ++q) {
+      const Index k = key(src(q));
+      require(k < nkeys, Info::index_out_of_bounds,
+              "build: tuple out of bounds");
+      ++start[k + 1];
+    }
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    std::vector<Index> next(start.begin(), start.end() - 1);
+    for (std::size_t q = 0; q < nz; ++q) {
+      const std::size_t p = src(q);
+      dst[next[key(p)]++] = p;
+    }
+    return;
+  }
+  auto bounds = partition_even(static_cast<Index>(nz), nthreads);
+  const int nchunks = static_cast<int>(bounds.size()) - 1;
+  // Per-chunk key counts, turned into per-chunk write offsets in place.
+  std::vector<std::vector<Index>> at(
+      static_cast<std::size_t>(nchunks),
+      std::vector<Index>(static_cast<std::size_t>(nkeys), 0));
+  // No exception may escape an OpenMP region: record bad keys per chunk
+  // and throw after the join.
+  std::vector<std::uint8_t> bad(static_cast<std::size_t>(nchunks), 0);
+  for_each_chunk(bounds, [&](int c, Index lo, Index hi) {
+    auto &cnt = at[c];
+    for (Index q = lo; q < hi; ++q) {
+      const Index k = key(src(q));
+      if (k >= nkeys) {
+        bad[c] = 1;
+        continue;
+      }
+      ++cnt[k];
+    }
+  });
+  for (std::uint8_t b : bad) {
+    require(!b, Info::index_out_of_bounds, "build: tuple out of bounds");
+  }
+  for (Index k = 0; k < nkeys; ++k) {
+    Index total = 0;
+    for (int c = 0; c < nchunks; ++c) total += at[c][k];
+    start[k + 1] = start[k] + total;
+  }
+  for_each_chunk(partition_even(nkeys, nchunks), [&](int, Index lo, Index hi) {
+    for (Index k = lo; k < hi; ++k) {
+      Index off = start[k];
+      for (int c = 0; c < nchunks; ++c) {
+        const Index cnt = at[c][k];
+        at[c][k] = off;
+        off += cnt;
+      }
+    }
+  });
+  for_each_chunk(bounds, [&](int c, Index lo, Index hi) {
+    auto &next = at[c];
+    for (Index q = lo; q < hi; ++q) {
+      const std::size_t p = src(q);
+      dst[next[key(p)]++] = p;
+    }
+  });
+}
+
+}  // namespace detail
 
 template <typename T>
 class Matrix {
@@ -317,97 +400,21 @@ class Matrix {
     }
     clear();  // also drops the finalized flag: back to single-writer mode
     init_width(want);
-    // Counting sort by row, then per-row stable sort by column. The parallel
-    // form (grb/parallel.hpp) mirrors the transpose bucket sort: per-chunk
-    // row counts, prefix offsets giving each (chunk, row) pair a disjoint
-    // slice, then a scatter — chunk order preserves ascending tuple position
-    // within a row, and the stable column sort preserves it within equal
-    // columns, so duplicate combining happens in exactly the serial order.
-    int nthreads = detail::effective_threads();
-    if (nz < detail::kParallelGrain ||
-        static_cast<std::size_t>(nthreads) *
-                (static_cast<std::size_t>(m_) + 1) >
-            4 * nz + 1024) {
-      nthreads = 1;
-    }
-    std::vector<Index> count(static_cast<std::size_t>(m_) + 1, 0);
+    // Order the tuples by (row, column, tuple position) with two stable
+    // counting passes, least significant key first: by column, then by row.
+    // The tuples of one (row, column) pair so stay in tuple order, and
+    // duplicates combine in exactly that order, whether a pass runs serially
+    // or chunked. The by-column order is dropped before the emit allocates
+    // the result.
     std::vector<std::size_t> order(nz);
-    if (nthreads <= 1) {
-      for (std::size_t p = 0; p < nz; ++p) {
-        detail::require(rows[p] < m_ && cols[p] < n_, Info::index_out_of_bounds,
-                        "build: tuple out of bounds");
-        ++count[rows[p] + 1];
-      }
-      std::partial_sum(count.begin(), count.end(), count.begin());
-      std::vector<Index> next(count.begin(), count.end() - 1);
-      for (std::size_t p = 0; p < nz; ++p) order[next[rows[p]]++] = p;
-    } else {
-      auto pbounds =
-          detail::partition_even(static_cast<Index>(nz), nthreads);
-      const int nchunks = static_cast<int>(pbounds.size()) - 1;
-      std::vector<std::vector<Index>> ccount(
-          static_cast<std::size_t>(nchunks),
-          std::vector<Index>(static_cast<std::size_t>(m_), 0));
-      // No exception may escape an OpenMP region: record bad tuples per
-      // chunk and throw after the join.
-      std::vector<std::uint8_t> bad(static_cast<std::size_t>(nchunks), 0);
-      detail::for_each_chunk(pbounds, [&](int c, Index lo, Index hi) {
-        auto &cnt = ccount[c];
-        for (Index p = lo; p < hi; ++p) {
-          if (rows[p] >= m_ || cols[p] >= n_) {
-            bad[c] = 1;
-            continue;
-          }
-          ++cnt[rows[p]];
-        }
-      });
-      for (std::uint8_t b : bad) {
-        detail::require(!b, Info::index_out_of_bounds,
-                        "build: tuple out of bounds");
-      }
-      for (Index i = 0; i < m_; ++i) {
-        Index total = 0;
-        for (int c = 0; c < nchunks; ++c) total += ccount[c][i];
-        count[i + 1] = count[i] + total;
-      }
-      std::vector<std::vector<Index>> off(static_cast<std::size_t>(nchunks));
-      for (int c = 0; c < nchunks; ++c) {
-        off[c].resize(static_cast<std::size_t>(m_));
-      }
-      detail::for_each_chunk(detail::partition_even(m_, nchunks),
-                             [&](int, Index lo, Index hi) {
-                               for (Index i = lo; i < hi; ++i) {
-                                 Index at = count[i];
-                                 for (int c = 0; c < nchunks; ++c) {
-                                   off[c][i] = at;
-                                   at += ccount[c][i];
-                                 }
-                               }
-                             });
-      detail::for_each_chunk(pbounds, [&](int c, Index lo, Index hi) {
-        auto &nx = off[c];
-        for (Index p = lo; p < hi; ++p) {
-          order[nx[rows[p]]++] = static_cast<std::size_t>(p);
-        }
-      });
-    }
     {
-      // Per-row column sorts are independent; chunk rows by their tuple
-      // count so one dense row doesn't serialize the pass.
-      std::vector<Index> rbounds =
-          nthreads > 1
-              ? detail::partition_rows_by_work(std::span<const Index>(count),
-                                               nthreads * 4)
-              : detail::partition_even(m_, 1);
-      detail::for_each_chunk(rbounds, [&](int, Index rlo, Index rhi) {
-        for (Index i = rlo; i < rhi; ++i) {
-          auto lo = order.begin() + static_cast<std::ptrdiff_t>(count[i]);
-          auto hi = order.begin() + static_cast<std::ptrdiff_t>(count[i + 1]);
-          std::stable_sort(lo, hi, [&](std::size_t a, std::size_t b) {
-            return cols[a] < cols[b];
-          });
-        }
-      });
+      std::vector<std::size_t> by_col(nz);
+      detail::counting_scatter(
+          nz, [](std::size_t q) { return q; }, n_,
+          [&](std::size_t p) { return cols[p]; }, by_col.data());
+      detail::counting_scatter(
+          nz, [&](std::size_t q) { return by_col[q]; }, m_,
+          [&](std::size_t p) { return rows[p]; }, order.data());
     }
     // Emit directly at the selected width: the loop is monomorphic after
     // one dispatch, and the arrays are adopted zero-copy.

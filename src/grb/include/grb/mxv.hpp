@@ -11,13 +11,16 @@
 // mxv(Aᵀ, u) on the explicitly cached transpose.
 //
 // Both kernels are parallel (grb/parallel.hpp):
-//   - the push kernel partitions the frontier into contiguous chunks of
-//     ~equal scattered nnz; each thread scatters its chunk into a pooled
-//     dense accumulator + touched list, and a parallel pass merges the
-//     per-thread partials over disjoint output ranges, folding chunks in
-//     ascending frontier order — the exact serial order, so results match
-//     num_threads=1 bit-for-bit (any/min/max terminals are absorbing;
-//     plus/times over exactly-representable values are associative);
+//   - the push kernel reads a sparse frontier's arrays in place and, for a
+//     CSR A, dispatches the index width once per call and scatters over
+//     typed rowptr/colidx/values spans. It partitions the frontier into
+//     contiguous chunks of ~equal scattered nnz; each thread scatters its
+//     chunk into a pooled dense accumulator + touched list, and a parallel
+//     pass merges the per-thread partials over disjoint output ranges
+//     (detail::emit_sparse), folding chunks in ascending frontier order —
+//     the exact serial order, so results match num_threads=1 bit-for-bit
+//     (any/min/max terminals are absorbing; plus/times over
+//     exactly-representable values are associative);
 //   - the pull kernel partitions rows by the CSR row-pointer prefix (nnz)
 //     instead of row count, so power-law hub rows no longer serialize a
 //     dynamic schedule. It picks A's format (CSR per index width, bitmap,
@@ -33,6 +36,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "grb/assign.hpp"
@@ -59,79 +64,84 @@ Vector<Z> push_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
   stats().push_calls.fetch_add(1, std::memory_order_relaxed);
   using AddM = typename SR::add_monoid;
 
-  // Materialize the frontier in ascending index order: chunk boundaries over
-  // this list give each thread a contiguous k-range, and merging per-thread
+  // The frontier in ascending index order: a sparse u's own arrays, read in
+  // place, or a bitmap u's entries listed once. Chunk boundaries over this
+  // list give each thread a contiguous k-range, and merging per-thread
   // partials in chunk order then reproduces the serial scatter order.
-  std::vector<Index> fk;
-  std::vector<U> fv;
-  fk.reserve(u.nvals());
-  fv.reserve(u.nvals());
-  u.for_each([&](Index k, const U &uk) {
-    fk.push_back(k);
-    fv.push_back(uk);
-  });
-  const Index nf = static_cast<Index>(fk.size());
-
-  a.finish();
-  const bool csr = a.format() == Matrix<AT>::Format::csr;
-  // Width-erased view is fine here: the row pointer is only consulted for
-  // the per-frontier-row work estimate; the scatter itself goes through
-  // for_each_in_row, which dispatches on the storage width per row.
-  IndexSpan rp = csr ? a.rowptr() : IndexSpan{};
-
-  auto scatter = [&](SaxpyWorkspace<Z> &ws, Index k, const U &uk) {
-    a.for_each_in_row(k, [&](Index j, const AT &akj) {
-      if (!allowed(j)) return;
-      if (ws.mark[j]) {
-        if constexpr (AddM::has_terminal) {
-          if (AddM::is_terminal(ws.work[j])) return;
-        }
-        ws.work[j] = sr.add(ws.work[j], combine(akj, uk, j, k));
-      } else {
-        ws.mark[j] = 1;
-        ws.work[j] = combine(akj, uk, j, k);
-        ws.touched.push_back(j);
-      }
-    });
-  };
-
-  // Team size: the planner's rule (plan::team_size) on the exact scattered
-  // work, so BFS tail levels stay on the serial schedule.
-  int nthreads = effective_threads();
-  if (nthreads > 1) {
-    Index total_work = 0;
-    if (csr) {
-      for (Index e = 0; e < nf; ++e) total_work += rp[fk[e] + 1] - rp[fk[e]];
-    } else {
-      total_work = nf * a.ncols();
-    }
-    nthreads = plan::team_size(total_work);
-  }
-
-  std::vector<Index> idx;
-  std::vector<Z> val;
-  if (nthreads <= 1 || nf < 2) {
-    // Serial schedule — also the reference order the parallel path must
-    // reproduce. The pooled workspace makes repeated calls (BFS levels)
-    // O(touched) instead of O(out_size) per call.
-    WorkspaceLease<Z> lease(out_size);
-    auto &ws = *lease;
-    for (Index e = 0; e < nf; ++e) scatter(ws, fk[e], fv[e]);
-    std::sort(ws.touched.begin(), ws.touched.end());
-    idx.reserve(ws.touched.size());
-    val.reserve(ws.touched.size());
-    for (Index j : ws.touched) {
-      idx.push_back(j);
-      val.push_back(ws.work[j]);
-    }
+  std::vector<Index> listed_k;
+  std::vector<U> listed_v;
+  std::span<const Index> fk;
+  std::span<const U> fv;
+  if (u.format() == Vector<U>::Format::sparse) {
+    fk = u.sparse_indices();
+    fv = u.sparse_values();
   } else {
+    listed_k.reserve(static_cast<std::size_t>(u.nvals()));
+    listed_v.reserve(static_cast<std::size_t>(u.nvals()));
+    u.for_each([&](Index k, const U &uk) {
+      listed_k.push_back(k);
+      listed_v.push_back(uk);
+    });
+    fk = listed_k;
+    fv = listed_v;
+  }
+  const Index nf = static_cast<Index>(fk.size());
+  a.finish();
+
+  // The scatter and merge, instantiated once per row form so neither the
+  // format nor the index width is re-decided per row: scan(k, visit) feeds
+  // row k's entries to visit(j, a_kj), row_len(k) is the row's length.
+  auto run = [&](auto scan, auto row_len) {
+    auto scatter = [&](SaxpyWorkspace<Z> &ws, Index e0, Index e1) {
+      for (Index e = e0; e < e1; ++e) {
+        const Index k = fk[e];
+        const U &uk = fv[e];
+        scan(k, [&](Index j, const AT &akj) {
+          if (!allowed(j)) return;
+          if (ws.mark[j]) {
+            if constexpr (AddM::has_terminal) {
+              if (AddM::is_terminal(ws.work[j])) return;
+            }
+            ws.work[j] = sr.add(ws.work[j], combine(akj, uk, j, k));
+          } else {
+            ws.mark[j] = 1;
+            ws.work[j] = combine(akj, uk, j, k);
+            ws.touched.push_back(j);
+          }
+        });
+      }
+    };
+
+    // Team size: the planner's rule (plan::team_size) on the exact
+    // scattered work, so BFS tail levels stay on the serial schedule.
+    int nthreads = effective_threads();
+    if (nthreads > 1) {
+      Index total_work = 0;
+      for (Index e = 0; e < nf; ++e) total_work += row_len(fk[e]);
+      nthreads = plan::team_size(total_work);
+    }
+
+    if (nthreads <= 1 || nf < 2) {
+      // Serial schedule — also the reference order the parallel path must
+      // reproduce. The pooled workspace makes repeated calls (BFS levels)
+      // O(touched) instead of O(out_size) per call.
+      WorkspaceLease<Z> lease(out_size);
+      auto &ws = *lease;
+      scatter(ws, 0, nf);
+      std::sort(ws.touched.begin(), ws.touched.end());
+      std::vector<Index> idx(ws.touched.begin(), ws.touched.end());
+      std::vector<Z> val;
+      val.reserve(idx.size());
+      for (Index j : idx) val.push_back(ws.work[j]);
+      Vector<Z> t(out_size);
+      t.adopt_sparse(std::move(idx), std::move(val));
+      return t;
+    }
+
     // Frontier chunks of ~equal scattered nnz (+1 biases against degenerate
     // all-empty chunks); exactly one chunk and workspace per thread.
-    std::vector<Index> fbounds =
-        csr ? partition_rows_by_work(
-                  nf, nthreads,
-                  [&](Index e) { return rp[fk[e] + 1] - rp[fk[e]] + 1; })
-            : partition_even(nf, nthreads);
+    std::vector<Index> fbounds = partition_rows_by_work(
+        nf, nthreads, [&](Index e) { return row_len(fk[e]) + 1; });
     const int P = static_cast<int>(fbounds.size()) - 1;
 
     auto &pool = WorkspacePool<Z>::instance();
@@ -140,70 +150,85 @@ Vector<Z> push_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
     for (int t = 0; t < P; ++t) ws.push_back(pool.acquire(out_size));
 
     parallel_region(P, [&](int t) {
-      for (Index e = fbounds[t]; e < fbounds[t + 1]; ++e) {
-        scatter(ws[t], fk[e], fv[e]);
-      }
+      scatter(ws[t], fbounds[t], fbounds[t + 1]);
       std::sort(ws[t].touched.begin(), ws[t].touched.end());
     });
 
     // Merge pass, parallel over disjoint output ranges. For each output j
     // the per-chunk partials fold in ascending chunk (= frontier) order:
     // `any` keeps the first chunk's value, terminal accumulators stay
-    // absorbed, associative ops regroup without reordering.
-    std::vector<Index> rbounds = partition_even(out_size, P);
-    const int R = static_cast<int>(rbounds.size()) - 1;
-    std::vector<std::vector<Index>> ridx(static_cast<std::size_t>(R));
-    std::vector<std::vector<Z>> rval(static_cast<std::size_t>(R));
-    for_each_chunk(rbounds, [&](int r, Index lo, Index hi) {
-      std::vector<std::size_t> head(static_cast<std::size_t>(P));
-      std::vector<std::size_t> tail(static_cast<std::size_t>(P));
-      for (int t = 0; t < P; ++t) {
-        const auto &tc = ws[t].touched;
-        head[t] = static_cast<std::size_t>(
-            std::lower_bound(tc.begin(), tc.end(), lo) - tc.begin());
-        tail[t] = static_cast<std::size_t>(
-            std::lower_bound(tc.begin(), tc.end(), hi) - tc.begin());
-      }
-      auto &oi = ridx[r];
-      auto &ov = rval[r];
-      for (;;) {
-        Index jmin = ALL;
-        for (int t = 0; t < P; ++t) {
-          if (head[t] < tail[t] && ws[t].touched[head[t]] < jmin) {
-            jmin = ws[t].touched[head[t]];
+    // absorbed, associative ops regroup without reordering. A range emits
+    // at most the touched entries its workspaces hold inside it.
+    Vector<Z> out = emit_sparse<Z>(
+        out_size, partition_even(out_size, P),
+        [&](Index lo, Index hi) {
+          Index c = 0;
+          for (int t = 0; t < P; ++t) {
+            const auto [h, e] = positions_in(ws[t].touched, lo, hi);
+            c += static_cast<Index>(e - h);
           }
-        }
-        if (jmin == ALL) break;
-        bool first = true;
-        Z acc{};
-        for (int t = 0; t < P; ++t) {
-          if (head[t] < tail[t] && ws[t].touched[head[t]] == jmin) {
-            ++head[t];
-            const Z &part = ws[t].work[jmin];
-            if (first) {
-              first = false;
-              acc = part;
-            } else {
-              if constexpr (AddM::has_terminal) {
-                if (AddM::is_terminal(acc)) continue;
+          return c;
+        },
+        [&](Index lo, Index hi, std::vector<Index> &oi, std::vector<Z> &ov) {
+          std::vector<std::size_t> head(static_cast<std::size_t>(P));
+          std::vector<std::size_t> tail(static_cast<std::size_t>(P));
+          for (int t = 0; t < P; ++t) {
+            std::tie(head[t], tail[t]) = positions_in(ws[t].touched, lo, hi);
+          }
+          for (;;) {
+            Index jmin = ALL;
+            for (int t = 0; t < P; ++t) {
+              if (head[t] < tail[t] && ws[t].touched[head[t]] < jmin) {
+                jmin = ws[t].touched[head[t]];
               }
-              acc = sr.add(acc, part);
             }
+            if (jmin == ALL) break;
+            bool first = true;
+            Z acc{};
+            for (int t = 0; t < P; ++t) {
+              if (head[t] < tail[t] && ws[t].touched[head[t]] == jmin) {
+                ++head[t];
+                const Z &part = ws[t].work[jmin];
+                if (first) {
+                  first = false;
+                  acc = part;
+                } else {
+                  if constexpr (AddM::has_terminal) {
+                    if (AddM::is_terminal(acc)) continue;
+                  }
+                  acc = sr.add(acc, part);
+                }
+              }
+            }
+            oi.push_back(jmin);
+            ov.push_back(acc);
           }
-        }
-        oi.push_back(jmin);
-        ov.push_back(acc);
-      }
-    });
-    concat_chunks(ridx, rval, idx, val);
+        });
 
     parallel_region(P, [&](int t) { ws[t].clear(); });
     for (int t = 0; t < P; ++t) pool.release(std::move(ws[t]));
-  }
+    return out;
+  };
 
-  Vector<Z> t(out_size);
-  t.adopt_sparse(std::move(idx), std::move(val));
-  return t;
+  // CSR: one width dispatch per call, then the scatter runs on typed
+  // rowptr/colidx/values spans. Other formats walk their rows.
+  if (a.format() == Matrix<AT>::Format::csr) {
+    return dispatch_width(a.index_width(), [&](auto tag) {
+      using I = decltype(tag);
+      auto rp = a.rowptr().template as<I>();
+      auto cx = a.colidx().template as<I>();
+      auto vx = a.values();
+      return run(
+          [rp, cx, vx](Index k, auto &&visit) {
+            for (std::size_t p = rp[k]; p < rp[k + 1]; ++p) {
+              visit(static_cast<Index>(cx[p]), vx[p]);
+            }
+          },
+          [rp](Index k) { return static_cast<Index>(rp[k + 1] - rp[k]); });
+    });
+  }
+  return run([&a](Index k, auto &&visit) { a.for_each_in_row(k, visit); },
+             [n = a.ncols()](Index) { return n; });
 }
 
 /// Dot kernel: for each row i of A passing `row_allowed`, reduce

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -320,6 +321,54 @@ void concat_chunks(std::vector<std::vector<Index>> &cidx,
     idx.insert(idx.end(), cidx[c].begin(), cidx[c].end());
     val.insert(val.end(), cval[c].begin(), cval[c].end());
   }
+}
+
+/// The positions [first, last) of a sorted index list whose indices fall in
+/// [lo, hi): how a chunk of the index space finds its share of a sparse
+/// operand.
+inline std::pair<std::size_t, std::size_t> positions_in(
+    std::span<const Index> sorted, Index lo, Index hi) {
+  return {static_cast<std::size_t>(
+              std::lower_bound(sorted.begin(), sorted.end(), lo) -
+              sorted.begin()),
+          static_cast<std::size_t>(
+              std::lower_bound(sorted.begin(), sorted.end(), hi) -
+              sorted.begin())};
+}
+
+/// Build a size-n sparse result from the chunks of `bounds` — the sparse
+/// counterpart of fill_slots. Each chunk runs emit(lo, hi, oi, ov), which
+/// appends its entries in ascending index order to buffers reserved to
+/// cap(lo, hi), the most entries the chunk can emit (its input entries for
+/// a filter, |u| + |v| for a union, min(|u|, |v|) for an intersection), so
+/// no append reallocates. One chunk appends straight into the result's
+/// arrays; several fill a buffer each, concatenated in chunk order, which
+/// is the serial order.
+template <typename Z, typename Cap, typename Emit>
+Vector<Z> emit_sparse(Index n, const std::vector<Index> &bounds, Cap &&cap,
+                      Emit &&emit) {
+  std::vector<Index> idx;
+  std::vector<Z> val;
+  const int nchunks = static_cast<int>(bounds.size()) - 1;
+  if (nchunks <= 1) {
+    const Index c = cap(bounds.front(), bounds.back());
+    idx.reserve(static_cast<std::size_t>(c));
+    val.reserve(static_cast<std::size_t>(c));
+    emit(bounds.front(), bounds.back(), idx, val);
+  } else {
+    std::vector<std::vector<Index>> cidx(static_cast<std::size_t>(nchunks));
+    std::vector<std::vector<Z>> cval(static_cast<std::size_t>(nchunks));
+    for_each_chunk(bounds, [&](int c, Index lo, Index hi) {
+      const Index k = cap(lo, hi);
+      cidx[c].reserve(static_cast<std::size_t>(k));
+      cval[c].reserve(static_cast<std::size_t>(k));
+      emit(lo, hi, cidx[c], cval[c]);
+    });
+    concat_chunks(cidx, cval, idx, val);
+  }
+  Vector<Z> t(n);
+  t.adopt_sparse(std::move(idx), std::move(val));
+  return t;
 }
 
 }  // namespace detail

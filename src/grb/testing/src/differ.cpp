@@ -12,14 +12,11 @@
 #include "grb/grb.hpp"
 #include "grb/testing/oracle.hpp"
 
+#include "differ_real.hpp"
+
 namespace grb::testing {
 
 namespace {
-
-using T = std::int64_t;
-
-/// Sentinel a getElement probe reports when the entry is absent.
-constexpr T kAbsent = std::numeric_limits<T>::min();
 
 // ---------------------------------------------------------------------------
 // Config sweep
@@ -76,124 +73,10 @@ std::vector<RunConfig> sweep_configs() {
 }
 
 // ---------------------------------------------------------------------------
-// Enum → real-functor dispatch (each with_* expands the template
-// cross-product the kernels need; element type is always std::int64_t).
+// Real-side helpers shared by the op families (declared in differ_real.hpp)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-template <typename F>
-void with_accum(AccumKind k, F &&f) {
-  switch (k) {
-    case AccumKind::none: f(NoAccum{}); break;
-    case AccumKind::plus: f(Plus{}); break;
-    case AccumKind::min: f(Min{}); break;
-    case AccumKind::max: f(Max{}); break;
-    case AccumKind::second: f(Second{}); break;
-    case AccumKind::kCount: break;
-  }
-}
-
-template <typename F>
-void with_semiring(SemiringKind k, F &&f) {
-  switch (k) {
-    case SemiringKind::plus_times: f(PlusTimes<T>{}); break;
-    case SemiringKind::min_plus: f(MinPlus<T>{}); break;
-    case SemiringKind::plus_second: f(PlusSecond<T>{}); break;
-    case SemiringKind::plus_pair: f(PlusPair<T>{}); break;
-    case SemiringKind::lor_land: f(LOrLAnd<T>{}); break;
-    case SemiringKind::max_first: f(Semiring<MaxMonoid<T>, First>{}); break;
-    case SemiringKind::any_secondi: f(AnySecondI<T>{}); break;
-    case SemiringKind::kCount: break;
-  }
-}
-
-template <typename F>
-void with_monoid(MonoidKind k, F &&f) {
-  switch (k) {
-    case MonoidKind::plus: f(PlusMonoid<T>{}); break;
-    case MonoidKind::min: f(MinMonoid<T>{}); break;
-    case MonoidKind::max: f(MaxMonoid<T>{}); break;
-    case MonoidKind::kCount: break;
-  }
-}
-
-template <typename F>
-void with_binop(BinOpKind k, F &&f) {
-  switch (k) {
-    case BinOpKind::plus: f(Plus{}); break;
-    case BinOpKind::times: f(Times{}); break;
-    case BinOpKind::min: f(Min{}); break;
-    case BinOpKind::max: f(Max{}); break;
-    case BinOpKind::first: f(First{}); break;
-    case BinOpKind::second: f(Second{}); break;
-    case BinOpKind::minus: f(Minus{}); break;
-    case BinOpKind::kCount: break;
-  }
-}
-
-template <typename F>
-void with_select(SelectKind k, F &&f) {
-  switch (k) {
-    case SelectKind::tril: f(Tril{}); break;
-    case SelectKind::triu: f(Triu{}); break;
-    case SelectKind::diag: f(Diag{}); break;
-    case SelectKind::offdiag: f(OffDiag{}); break;
-    case SelectKind::value_ne: f(ValueNe{}); break;
-    case SelectKind::value_le: f(ValueLe{}); break;
-    case SelectKind::row_lt: f(RowIndexLt{}); break;
-    case SelectKind::col_lt: f(ColIndexLt{}); break;
-    case SelectKind::kCount: break;
-  }
-}
-
-template <typename F>
-void with_mat_mask(bool has, const Matrix<T> &mask, F &&f) {
-  if (has) {
-    f(mask);
-  } else {
-    f(no_mask);
-  }
-}
-
-template <typename F>
-void with_vec_mask(bool has, const Vector<T> &mask, F &&f) {
-  if (has) {
-    f(mask);
-  } else {
-    f(no_mask);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Real-side container construction + mutation prologue
-// ---------------------------------------------------------------------------
-
-template <typename Dup>
-Matrix<T> mk_mat(const MatData &d, Dup dup) {
-  Matrix<T> a(d.m, d.n);
-  a.build(std::span<const Index>(d.ri), std::span<const Index>(d.ci),
-          std::span<const T>(d.vv), dup);
-  switch (d.fmt) {
-    case MatFmt::csr: break;  // build leaves CSR
-    case MatFmt::hypersparse: a.to_hypersparse(); break;
-    case MatFmt::bitmap: a.to_bitmap(); break;
-    case MatFmt::kCount: break;
-  }
-  return a;
-}
-
-Matrix<T> mk_mat(const MatData &d) { return mk_mat(d, Second{}); }
-
-template <typename Dup>
-Vector<T> mk_vec(const VecData &d, Dup dup) {
-  Vector<T> u(d.n);
-  u.build(std::span<const Index>(d.ix), std::span<const T>(d.vv), dup);
-  if (d.fmt == VecFmt::bitmap) u.to_bitmap();
-  return u;
-}
-
-Vector<T> mk_vec(const VecData &d) { return mk_vec(d, Second{}); }
+namespace real {
 
 /// Apply the non-blocking mutation prologue to the real matrix, recording
 /// probe answers. Probes force the pending-tuple / zombie machinery: nvals
@@ -316,7 +199,7 @@ void append_vec_observed(std::vector<T> &obs, const Vector<T> &x) {
   }
 }
 
-}  // namespace
+}  // namespace real
 
 // ---------------------------------------------------------------------------
 // run_real
@@ -346,370 +229,11 @@ Result run_real(const Scenario &s, const RunConfig &rc) {
   d.mask_structural = s.structural;
   d.replace = s.replace;
 
-  std::vector<T> observed;
+  // The op switch lives in three translation units, one per op family
+  // (differ_real.hpp); exactly one of them owns s.op.
   Result r;
-
-  switch (s.op) {
-    case OpKind::mxm: {
-      Matrix<T> a = mk_mat(s.a), b = mk_mat(s.b), c = mk_mat(s.cinit);
-      Matrix<T> mask = mk_mat(s.mmask);
-      mutate_real(a, s.a.muts, observed);
-      with_mat_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum, [&](auto acc) {
-          with_semiring(s.sr, [&](auto sr) { mxm(c, m, acc, sr, a, b, d); });
-        });
-      });
-      r = read_mat(c, std::move(observed));
-      break;
-    }
-    case OpKind::mxv:
-    case OpKind::vxm: {
-      Matrix<T> a = mk_mat(s.a);
-      Vector<T> u = mk_vec(s.u), w = mk_vec(s.winit);
-      Vector<T> mask = mk_vec(s.vmask);
-      mutate_real(a, s.a.muts, observed);
-      with_vec_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum, [&](auto acc) {
-          with_semiring(s.sr, [&](auto sr) {
-            if (s.op == OpKind::mxv) {
-              mxv(w, m, acc, sr, a, u, d);
-            } else {
-              vxm(w, m, acc, sr, u, a, d);
-            }
-          });
-        });
-      });
-      r = read_vec(w, std::move(observed));
-      break;
-    }
-    case OpKind::ewise_add_m:
-    case OpKind::ewise_mult_m: {
-      Matrix<T> a = mk_mat(s.a), b = mk_mat(s.b), c = mk_mat(s.cinit);
-      Matrix<T> mask = mk_mat(s.mmask);
-      mutate_real(a, s.a.muts, observed);
-      with_mat_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum, [&](auto acc) {
-          with_binop(s.binop, [&](auto op) {
-            if (s.op == OpKind::ewise_add_m) {
-              eWiseAdd(c, m, acc, op, a, b, d);
-            } else {
-              eWiseMult(c, m, acc, op, a, b, d);
-            }
-          });
-        });
-      });
-      r = read_mat(c, std::move(observed));
-      break;
-    }
-    case OpKind::ewise_add_v:
-    case OpKind::ewise_mult_v: {
-      Vector<T> u = mk_vec(s.u), v = mk_vec(s.v), w = mk_vec(s.winit);
-      Vector<T> mask = mk_vec(s.vmask);
-      mutate_real(u, s.u.muts, observed);
-      with_vec_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum, [&](auto acc) {
-          with_binop(s.binop, [&](auto op) {
-            if (s.op == OpKind::ewise_add_v) {
-              eWiseAdd(w, m, acc, op, u, v, d);
-            } else {
-              eWiseMult(w, m, acc, op, u, v, d);
-            }
-          });
-        });
-      });
-      r = read_vec(w, std::move(observed));
-      break;
-    }
-    case OpKind::apply_m: {
-      Matrix<T> a = mk_mat(s.a), c = mk_mat(s.cinit);
-      Matrix<T> mask = mk_mat(s.mmask);
-      mutate_real(a, s.a.muts, observed);
-      const T th = s.thunk;
-      with_mat_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum, [&](auto acc) {
-          switch (s.unop) {
-            case UnaryKind::identity: apply(c, m, acc, Identity{}, a, d); break;
-            case UnaryKind::ainv: apply(c, m, acc, AInv{}, a, d); break;
-            case UnaryKind::abs_op: apply(c, m, acc, Abs{}, a, d); break;
-            case UnaryKind::one: apply(c, m, acc, One{}, a, d); break;
-            case UnaryKind::plus_thunk:
-              apply2nd(c, m, acc, Plus{}, a, th, d);
-              break;
-            case UnaryKind::times_thunk:
-              apply2nd(c, m, acc, Times{}, a, th, d);
-              break;
-            case UnaryKind::kCount: break;
-          }
-        });
-      });
-      r = read_mat(c, std::move(observed));
-      break;
-    }
-    case OpKind::apply_v: {
-      Vector<T> u = mk_vec(s.u), w = mk_vec(s.winit);
-      Vector<T> mask = mk_vec(s.vmask);
-      mutate_real(u, s.u.muts, observed);
-      const T th = s.thunk;
-      with_vec_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum, [&](auto acc) {
-          switch (s.unop) {
-            case UnaryKind::identity: apply(w, m, acc, Identity{}, u, d); break;
-            case UnaryKind::ainv: apply(w, m, acc, AInv{}, u, d); break;
-            case UnaryKind::abs_op: apply(w, m, acc, Abs{}, u, d); break;
-            case UnaryKind::one: apply(w, m, acc, One{}, u, d); break;
-            case UnaryKind::plus_thunk:
-              apply2nd(w, m, acc, Plus{}, u, th, d);
-              break;
-            case UnaryKind::times_thunk:
-              apply2nd(w, m, acc, Times{}, u, th, d);
-              break;
-            case UnaryKind::kCount: break;
-          }
-        });
-      });
-      r = read_vec(w, std::move(observed));
-      break;
-    }
-    case OpKind::select_m: {
-      Matrix<T> a = mk_mat(s.a), c = mk_mat(s.cinit);
-      Matrix<T> mask = mk_mat(s.mmask);
-      mutate_real(a, s.a.muts, observed);
-      with_mat_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum, [&](auto acc) {
-          with_select(s.sel, [&](auto sel) {
-            select(c, m, acc, sel, a, s.thunk, d);
-          });
-        });
-      });
-      r = read_mat(c, std::move(observed));
-      break;
-    }
-    case OpKind::select_v: {
-      Vector<T> u = mk_vec(s.u), w = mk_vec(s.winit);
-      Vector<T> mask = mk_vec(s.vmask);
-      mutate_real(u, s.u.muts, observed);
-      with_vec_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum, [&](auto acc) {
-          with_select(s.sel, [&](auto sel) {
-            select(w, m, acc, sel, u, s.thunk, d);
-          });
-        });
-      });
-      r = read_vec(w, std::move(observed));
-      break;
-    }
-    case OpKind::reduce_m2v: {
-      Matrix<T> a = mk_mat(s.a);
-      Vector<T> w = mk_vec(s.winit);
-      Vector<T> mask = mk_vec(s.vmask);
-      mutate_real(a, s.a.muts, observed);
-      with_vec_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum, [&](auto acc) {
-          with_monoid(s.monoid, [&](auto mono) {
-            reduce(w, m, acc, mono, a, d);
-          });
-        });
-      });
-      r = read_vec(w, std::move(observed));
-      break;
-    }
-    case OpKind::reduce_m2s: {
-      Matrix<T> a = mk_mat(s.a);
-      mutate_real(a, s.a.muts, observed);
-      T sc = s.scalar;
-      with_accum(s.accum, [&](auto acc) {
-        with_monoid(s.monoid, [&](auto mono) { reduce(sc, acc, mono, a); });
-      });
-      r.kind = Result::Kind::scalar;
-      r.scalar = sc;
-      r.observed = std::move(observed);
-      break;
-    }
-    case OpKind::reduce_v2s: {
-      Vector<T> u = mk_vec(s.u);
-      mutate_real(u, s.u.muts, observed);
-      T sc = s.scalar;
-      with_accum(s.accum, [&](auto acc) {
-        with_monoid(s.monoid, [&](auto mono) { reduce(sc, acc, mono, u); });
-      });
-      r.kind = Result::Kind::scalar;
-      r.scalar = sc;
-      r.observed = std::move(observed);
-      break;
-    }
-    case OpKind::transpose_m: {
-      Matrix<T> a = mk_mat(s.a), c = mk_mat(s.cinit);
-      Matrix<T> mask = mk_mat(s.mmask);
-      mutate_real(a, s.a.muts, observed);
-      with_mat_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum,
-                   [&](auto acc) { transpose(c, m, acc, a, d); });
-      });
-      r = read_mat(c, std::move(observed));
-      break;
-    }
-    case OpKind::kron: {
-      Matrix<T> a = mk_mat(s.a), b = mk_mat(s.b), c = mk_mat(s.cinit);
-      Matrix<T> mask = mk_mat(s.mmask);
-      mutate_real(a, s.a.muts, observed);
-      with_mat_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum, [&](auto acc) {
-          with_binop(s.binop,
-                     [&](auto op) { kronecker(c, m, acc, op, a, b, d); });
-        });
-      });
-      r = read_mat(c, std::move(observed));
-      break;
-    }
-    case OpKind::extract_v: {
-      Vector<T> u = mk_vec(s.u), w = mk_vec(s.winit);
-      Vector<T> mask = mk_vec(s.vmask);
-      mutate_real(u, s.u.muts, observed);
-      const Indices ix = mk_indices(s.rows_all, s.rows);
-      with_vec_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum,
-                   [&](auto acc) { extract(w, m, acc, u, ix, d); });
-      });
-      r = read_vec(w, std::move(observed));
-      break;
-    }
-    case OpKind::extract_m: {
-      Matrix<T> a = mk_mat(s.a), c = mk_mat(s.cinit);
-      Matrix<T> mask = mk_mat(s.mmask);
-      mutate_real(a, s.a.muts, observed);
-      const Indices rows = mk_indices(s.rows_all, s.rows);
-      const Indices cols = mk_indices(s.cols_all, s.cols);
-      with_mat_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum,
-                   [&](auto acc) { extract(c, m, acc, a, rows, cols, d); });
-      });
-      r = read_mat(c, std::move(observed));
-      break;
-    }
-    case OpKind::extract_col: {
-      Matrix<T> a = mk_mat(s.a);
-      Vector<T> w = mk_vec(s.winit);
-      Vector<T> mask = mk_vec(s.vmask);
-      mutate_real(a, s.a.muts, observed);
-      with_vec_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum,
-                   [&](auto acc) { extract_col(w, m, acc, a, s.col, d); });
-      });
-      r = read_vec(w, std::move(observed));
-      break;
-    }
-    case OpKind::assign_vv: {
-      Vector<T> u = mk_vec(s.u), w = mk_vec(s.winit);
-      Vector<T> mask = mk_vec(s.vmask);
-      mutate_real(u, s.u.muts, observed);
-      const Indices ix = mk_indices(s.rows_all, s.rows);
-      with_vec_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum,
-                   [&](auto acc) { assign(w, m, acc, u, ix, d); });
-      });
-      r = read_vec(w, std::move(observed));
-      break;
-    }
-    case OpKind::assign_vs: {
-      Vector<T> w = mk_vec(s.winit);
-      Vector<T> mask = mk_vec(s.vmask);
-      const Indices ix = mk_indices(s.rows_all, s.rows);
-      with_vec_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum,
-                   [&](auto acc) { assign(w, m, acc, s.scalar, ix, d); });
-      });
-      r = read_vec(w, std::move(observed));
-      break;
-    }
-    case OpKind::assign_ms: {
-      Matrix<T> c = mk_mat(s.cinit);
-      Matrix<T> mask = mk_mat(s.mmask);
-      const Indices rows = mk_indices(s.rows_all, s.rows);
-      const Indices cols = mk_indices(s.cols_all, s.cols);
-      with_mat_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum, [&](auto acc) {
-          assign(c, m, acc, s.scalar, rows, cols, d);
-        });
-      });
-      r = read_mat(c, std::move(observed));
-      break;
-    }
-    case OpKind::assign_mm: {
-      Matrix<T> a = mk_mat(s.a), c = mk_mat(s.cinit);
-      Matrix<T> mask = mk_mat(s.mmask);
-      mutate_real(a, s.a.muts, observed);
-      const Indices rows = mk_indices(s.rows_all, s.rows);
-      const Indices cols = mk_indices(s.cols_all, s.cols);
-      with_mat_mask(s.has_mask, mask, [&](const auto &m) {
-        with_accum(s.accum,
-                   [&](auto acc) { assign(c, m, acc, a, rows, cols, d); });
-      });
-      r = read_mat(c, std::move(observed));
-      break;
-    }
-    case OpKind::dup_m: {
-      // build with duplicate combining, then GrB_Matrix_dup (copy) and read
-      // the copy back through extractTuples.
-      Matrix<T> a(s.a.m, s.a.n);
-      with_binop(s.binop, [&](auto dup) { a = mk_mat(s.a, dup); });
-      Matrix<T> copy = a;
-      r = read_mat(copy, std::move(observed));
-      break;
-    }
-    case OpKind::dup_v: {
-      Vector<T> u(s.u.n);
-      with_binop(s.binop, [&](auto dup) { u = mk_vec(s.u, dup); });
-      Vector<T> copy = u;
-      r = read_vec(copy, std::move(observed));
-      break;
-    }
-    case OpKind::mutate_m: {
-      Matrix<T> a = mk_mat(s.a);
-      mutate_real(a, s.a.muts, observed);
-      r = read_mat(a, std::move(observed));
-      break;
-    }
-    case OpKind::mutate_v: {
-      Vector<T> u = mk_vec(s.u);
-      mutate_real(u, s.u.muts, observed);
-      r = read_vec(u, std::move(observed));
-      break;
-    }
-    case OpKind::fused_mxv_apply: {
-      Matrix<T> a = mk_mat(s.a);
-      Vector<T> u = mk_vec(s.u), w = mk_vec(s.winit);
-      Vector<T> mask = mk_vec(s.vmask);
-      // Companion stamp targets: the copy target seeded from s.v, the const
-      // target empty. Bitmap so the single-sweep fast path is reachable
-      // (anything else falls back to the composition, also under test).
-      Vector<T> stampc = mk_vec(s.v);
-      Vector<T> stampk(w.size());
-      stampc.to_bitmap();
-      stampk.to_bitmap();
-      mutate_real(a, s.a.muts, observed);
-      with_semiring(s.sr, [&](auto sr) {
-        fused_mxv_apply(w, mask, sr, a, u, d, &stampc, &stampk, s.thunk);
-      });
-      r = read_vec(w, std::move(observed));
-      append_vec_observed(r.observed, stampc);
-      append_vec_observed(r.observed, stampk);
-      break;
-    }
-    case OpKind::fused_vxm_select: {
-      Matrix<T> a = mk_mat(s.a);
-      Vector<T> u = mk_vec(s.u), w = mk_vec(s.winit);
-      Vector<T> pruned(w.size());
-      mutate_real(a, s.a.muts, observed);
-      const T lo = std::min(s.thunk, s.scalar);
-      const T hi = std::max(s.thunk, s.scalar) + 1;
-      with_semiring(s.sr, [&](auto sr) {
-        vxm_select_range(w, pruned, sr, u, a, lo, hi, d);
-      });
-      r = read_vec(w, std::move(observed));
-      append_vec_observed(r.observed, pruned);
-      break;
-    }
-    case OpKind::kCount: break;
+  if (!real::run_products(s, d, r) && !real::run_elementwise(s, d, r)) {
+    real::run_structural(s, d, r);
   }
   return r;
 }
@@ -893,7 +417,7 @@ void mutate_ref(RefMat &a, const std::vector<Mutation> &muts,
       case 1: observed.push_back(static_cast<Value>(a.e.size())); break;
       case 2: {
         auto v = a.get(mu.i, mu.j);
-        observed.push_back(v ? *v : kAbsent);
+        observed.push_back(v ? *v : real::kAbsent);
         break;
       }
       case 3: {
@@ -922,7 +446,7 @@ void mutate_ref(RefVec &u, const std::vector<Mutation> &muts,
       case 1: observed.push_back(static_cast<Value>(u.e.size())); break;
       case 2: {
         auto v = u.get(mu.i);
-        observed.push_back(v ? *v : kAbsent);
+        observed.push_back(v ? *v : real::kAbsent);
         break;
       }
       case 3: {

@@ -49,8 +49,12 @@ int sssp_delta_stepping(grb::Vector<double> *dist, const Graph<T> &g,
     // A_L = A⟨0 < A ≤ Δ⟩, A_H = A⟨Δ < A⟩ (Alg. 5 lines 2-3)
     grb::Matrix<double> al(n, n);
     grb::Matrix<double> ah(n, n);
-    grb::select(al, grb::no_mask, grb::NoAccum{}, grb::ValueLe{}, g.a, delta);
-    grb::select(al, grb::no_mask, grb::NoAccum{}, grb::ValueGt{}, al, 0.0);
+    grb::select(
+        al, grb::no_mask, grb::NoAccum{},
+        [](const auto &x, Index, Index, const auto &d) {
+          return 0 < x && x <= d;
+        },
+        g.a, delta);
     grb::select(ah, grb::no_mask, grb::NoAccum{}, grb::ValueGt{}, g.a, delta);
 
     grb::Vector<double> t(n);  // entries only for reached nodes

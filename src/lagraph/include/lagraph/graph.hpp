@@ -10,10 +10,12 @@
 // properties; check_graph() verifies consistency.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "grb/grb.hpp"
 #include "lagraph/status.hpp"
@@ -144,17 +146,32 @@ int property_at(Graph<T> &g, char *msg) {
   });
 }
 
-/// Compute and cache the row degrees (LAGraph_Property_RowDegree).
+/// Compute and cache the row degrees (LAGraph_Property_RowDegree): the
+/// differences of A's row pointer (A is brought to CSR first). An empty row
+/// gets no entry, as a reduce over A's rows would leave it.
 template <typename T>
 int property_row_degree(Graph<T> &g, char *msg) {
   return detail::guarded(msg, [&]() {
     if (g.row_degree.has_value()) return LAGRAPH_OK;
-    grb::Vector<std::int64_t> deg(g.a.nrows());
-    grb::Matrix<std::int64_t> pat(g.a.nrows(), g.a.ncols());
-    grb::apply(pat, grb::no_mask, grb::NoAccum{}, grb::One{}, g.a);
-    grb::reduce(deg, grb::no_mask, grb::NoAccum{},
-                grb::PlusMonoid<std::int64_t>{}, pat);
-    g.row_degree = std::move(deg);
+    grb::plan::prepare(g.a, grb::plan::MatFormat::csr);
+    const Index n = g.a.nrows();
+    std::vector<std::uint8_t> found(static_cast<std::size_t>(n), 0);
+    std::vector<std::int64_t> deg(static_cast<std::size_t>(n), 0);
+    Index nvals = 0;
+    grb::detail::dispatch_width(g.a.index_width(), [&](auto tag) {
+      const auto rp = g.a.rowptr().template as<decltype(tag)>();
+      for (Index i = 0; i < n; ++i) {
+        const auto d = static_cast<std::int64_t>(rp[i + 1] - rp[i]);
+        if (d == 0) continue;
+        found[i] = 1;
+        deg[i] = d;
+        ++nvals;
+      }
+    });
+    grb::Vector<std::int64_t> v(n);
+    v.adopt_bitmap(std::move(found), std::move(deg), nvals);
+    v.maybe_switch_format();
+    g.row_degree = std::move(v);
     return LAGRAPH_OK;
   });
 }
@@ -176,7 +193,9 @@ int property_col_degree(Graph<T> &g, char *msg) {
 
 /// Determine whether the pattern of A is symmetric
 /// (LAGraph_Property_ASymmetricPattern). Undirected graphs are symmetric by
-/// definition.
+/// definition. Otherwise A and Aᵀ are brought to sorted CSR, the one form
+/// each pattern has, and the pattern is symmetric exactly when their row
+/// pointers and column arrays are equal (compared across index widths).
 template <typename T>
 int property_symmetric_pattern(Graph<T> &g, char *msg) {
   return detail::guarded(msg, [&]() {
@@ -187,27 +206,40 @@ int property_symmetric_pattern(Graph<T> &g, char *msg) {
     if (g.a_pattern_is_symmetric != BooleanProperty::unknown)
       return LAGRAPH_OK;
     if (!g.at.has_value()) g.at = grb::transposed(g.a);
-    bool sym = g.a.nvals() == g.at->nvals();
+    bool sym = g.a.nrows() == g.a.ncols();
     if (sym) {
-      bool all = true;
-      g.a.for_each([&](Index i, Index j, const T &) {
-        if (!g.at->has(i, j)) all = false;
-      });
-      sym = all;
+      for (const grb::Matrix<T> *x : {&g.a, &*g.at}) {
+        grb::plan::prepare(*x, grb::plan::MatFormat::csr);
+        x->ensure_sorted();
+      }
+      const grb::IndexSpan arp = g.a.rowptr(), trp = g.at->rowptr();
+      const grb::IndexSpan acx = g.a.colidx(), tcx = g.at->colidx();
+      sym = std::equal(arp.begin(), arp.end(), trp.begin(), trp.end()) &&
+            std::equal(acx.begin(), acx.end(), tcx.begin(), tcx.end());
     }
     g.a_pattern_is_symmetric = sym ? BooleanProperty::yes : BooleanProperty::no;
     return LAGRAPH_OK;
   });
 }
 
-/// Count (and cache) the diagonal entries of A (LAGraph_Property_NDiag).
+/// Count (and cache) the diagonal entries of A (LAGraph_Property_NDiag):
+/// one typed pass over A's CSR rows (A is brought to CSR first).
 template <typename T>
 int property_ndiag(Graph<T> &g, char *msg) {
   return detail::guarded(msg, [&]() {
     if (g.ndiag >= 0) return LAGRAPH_OK;
+    grb::plan::prepare(g.a, grb::plan::MatFormat::csr);
     std::int64_t count = 0;
-    g.a.for_each([&](Index i, Index j, const T &) {
-      if (i == j) ++count;
+    grb::detail::dispatch_width(g.a.index_width(), [&](auto tag) {
+      using I = decltype(tag);
+      const auto rp = g.a.rowptr().template as<I>();
+      const auto cx = g.a.colidx().template as<I>();
+      const Index m = g.a.nrows();
+      for (Index i = 0; i < m; ++i) {
+        for (std::size_t p = rp[i]; p < rp[i + 1]; ++p) {
+          count += cx[p] == static_cast<I>(i) ? 1 : 0;
+        }
+      }
     });
     g.ndiag = count;
     return LAGRAPH_OK;

@@ -16,7 +16,12 @@
 // pool's locking, which are the data structures the OpenMP paths share.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
+#include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gen/generators.hpp"
@@ -323,7 +328,162 @@ TEST_P(ParallelDeterminism, BuildFromTuples) {
         t.finalize();
         return t;
       },
-      "Matrix::build (parallel counting sort + row sorts)");
+      "Matrix::build (column then row counting passes)");
+}
+
+// The sparse-result emits: operands below kParallelGrain run as one chunk
+// and write straight into the result, operands above it are chunked at 4
+// and 8 threads. Both must match the serial walk. Vectors span 2^14
+// positions so a dense-ish sparse operand clears the grain; inputs are
+// adopted sparse, so select and apply see sparse input.
+constexpr Index kWide = Index{1} << 14;
+
+TEST_P(ParallelDeterminism, SelectAndApplySparseVector) {
+  for (int denom : {2, 64}) {  // ~8,192 and ~256 entries
+    const Vector<double> u = make_frontier(kWide, denom);
+    ASSERT_EQ(u.format(), Vector<double>::Format::sparse);
+    check_thread_sweep(
+        [&] {
+          Vector<double> w(kWide);
+          grb::select(w, no_mask, grb::NoAccum{}, grb::ValueGt{}, u, 40.0);
+          return w;
+        },
+        "select (sparse vector)");
+    check_thread_sweep(
+        [&] {
+          Vector<double> w(kWide);
+          grb::apply2nd(w, no_mask, grb::NoAccum{}, grb::Times{}, u, 3.0);
+          return w;
+        },
+        "apply2nd (sparse vector)");
+  }
+}
+
+TEST_P(ParallelDeterminism, EwiseMultSparseAndBitmap) {
+  for (int denom : {2, 64}) {
+    const Vector<double> u = make_frontier(kWide, denom);
+    // v: u mirrored, a different pattern of the same size
+    std::vector<Index> idx;
+    std::vector<double> val;
+    u.extract_tuples(idx, val);
+    std::reverse(idx.begin(), idx.end());
+    std::reverse(val.begin(), val.end());
+    for (Index &i : idx) i = kWide - 1 - i;
+    Vector<double> v(kWide);
+    v.adopt_sparse(std::move(idx), std::move(val));
+    Vector<double> vb = v;
+    vb.to_bitmap();
+    check_thread_sweep(
+        [&] {
+          Vector<double> w(kWide);
+          grb::eWiseMult(w, no_mask, grb::NoAccum{}, grb::Minus{}, u, v);
+          return w;
+        },
+        "eWiseMult (sparse x sparse)");
+    check_thread_sweep(
+        [&] {
+          Vector<double> w(kWide);
+          grb::eWiseMult(w, no_mask, grb::NoAccum{}, grb::Minus{}, u, vb);
+          return w;
+        },
+        "eWiseMult (sparse x bitmap)");
+    check_thread_sweep(
+        [&] {
+          Vector<double> w(kWide);
+          grb::eWiseMult(w, no_mask, grb::NoAccum{}, grb::Minus{}, vb, u);
+          return w;
+        },
+        "eWiseMult (bitmap x sparse)");
+  }
+}
+
+TEST_P(ParallelDeterminism, VxmSelectRange) {
+  // A frontier of every 2nd node pushes ~8 edges per entry, well above the
+  // grain; every 16th stays below it.
+  for (int denom : {2, 16}) {
+    const Vector<double> u = make_frontier(n_, denom);
+    for (const bool want_pruned : {false, true}) {
+      check_thread_sweep(
+          [&] {
+            Vector<double> w(n_);
+            Vector<double> pruned(n_);
+            grb::vxm_select_range(w, pruned, grb::MinPlus<double>{}, u, a_,
+                                  64.0, 192.0);
+            return want_pruned ? pruned : w;
+          },
+          want_pruned ? "vxm_select_range (pruned)" : "vxm_select_range (w)");
+    }
+  }
+}
+
+TEST_P(ParallelDeterminism, MatrixSelectKeepsMost) {
+  // Weights lie in [1, 255]: ValueGt 2 keeps ~99% of the entries. The
+  // scale-11 graph holds ~16k entries (chunked), the scale-7 one ~1k.
+  const Matrix<double> small = make_graph(GetParam(), 7);
+  for (const Matrix<double> *a : {&std::as_const(a_), &small}) {
+    check_thread_sweep(
+        [&] {
+          Matrix<double> c(a->nrows(), a->ncols());
+          grb::select(c, no_mask, grb::NoAccum{}, grb::ValueGt{}, *a, 2.0);
+          return c;
+        },
+        "select (matrix, most entries kept)");
+  }
+}
+
+TEST_P(ParallelDeterminism, BuildFromShuffledDuplicates) {
+  // a_'s tuples plus repeats at every 3rd and 7th position, each with its
+  // own value, shuffled: build must combine every (i, j)'s values in tuple
+  // order, whatever the thread count.
+  std::vector<Index> bi, bj;
+  std::vector<double> bv;
+  a_.extract_tuples(bi, bj, bv);
+  const std::size_t base = bi.size();
+  for (std::size_t p = 0; p < base; ++p) {
+    for (std::size_t step : {3, 7}) {
+      if (p % step != 0) continue;
+      bi.push_back(bi[p]);
+      bj.push_back(bj[p]);
+      bv.push_back(static_cast<double>(1 + (p / step) % 97));
+    }
+  }
+  std::vector<std::size_t> perm(bi.size());
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  std::mt19937_64 rng(0x5eedULL);
+  std::shuffle(perm.begin(), perm.end(), rng);
+  std::vector<Index> si(bi.size()), sj(bi.size());
+  std::vector<double> sv(bi.size());
+  for (std::size_t q = 0; q < perm.size(); ++q) {
+    si[q] = bi[perm[q]];
+    sj[q] = bj[perm[q]];
+    sv[q] = bv[perm[q]];
+  }
+  auto check = [&](auto dup, const char *what) {
+    // The in-order fold: first value, then dup(acc, next) per repeat.
+    std::map<std::pair<Index, Index>, double> want;
+    for (std::size_t q = 0; q < si.size(); ++q) {
+      auto [it, fresh] = want.try_emplace({si[q], sj[q]}, sv[q]);
+      if (!fresh) it->second = dup(it->second, sv[q]);
+    }
+    for (int t : {1, 4, 8}) {
+      ThreadGuard guard(t);
+      Matrix<double> m(n_, n_);
+      m.build(si, sj, sv, dup);
+      std::vector<Index> ri, rj;
+      std::vector<double> rv;
+      m.extract_tuples(ri, rj, rv);
+      ASSERT_EQ(ri.size(), want.size()) << what << " at " << t << " threads";
+      std::size_t k = 0;
+      for (const auto &[ij, x] : want) {
+        ASSERT_EQ(ri[k], ij.first) << what << " at " << t << " threads";
+        ASSERT_EQ(rj[k], ij.second) << what << " at " << t << " threads";
+        ASSERT_EQ(rv[k], x) << what << " at " << t << " threads";
+        ++k;
+      }
+    }
+  };
+  check(grb::First{}, "build (First)");
+  check(grb::Minus{}, "build (Minus, non-commutative)");
 }
 
 INSTANTIATE_TEST_SUITE_P(Graphs, ParallelDeterminism, ::testing::Bool(),

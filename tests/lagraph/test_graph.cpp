@@ -2,7 +2,11 @@
 // properties, consistency checking, and display (paper §II-A, §V).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/test_graphs.hpp"
 
@@ -176,4 +180,90 @@ TEST(Graph, UserCanSetPropertiesDirectly) {
   char msg[LAGRAPH_MSG_LEN];
   EXPECT_EQ(lagraph::check_graph(g, msg), LAGRAPH_OK);
   EXPECT_EQ(g.transpose_view(), &*g.at);
+}
+
+namespace {
+
+/// One storage setting for the property test below: the index width build
+/// is pinned to (auto picks u32 for these sizes, while a fresh transpose
+/// stays u64) and whether A is then converted to hypersparse.
+struct Storage {
+  grb::ForceIndexWidth width;
+  bool hypersparse;
+  grb::IndexWidth expect;
+};
+
+}  // namespace
+
+TEST(Graph, CachedPropertiesMatchTheirDefinitions) {
+  using Edges = std::vector<std::pair<Index, Index>>;
+  // n = 5, so rows 3 and 4 are empty unless a case fills them.
+  const Edges cases[] = {
+      // directed 3-cycle: A and Aᵀ have equal row pointers, but the
+      // pattern is not symmetric
+      {{0, 1}, {1, 2}, {2, 0}},
+      // symmetric, with self-loops and empty rows
+      {{0, 0}, {0, 1}, {1, 0}, {2, 2}, {3, 3}},
+      // the 3-cycle plus self-loops and a dangling edge
+      {{0, 1}, {1, 1}, {1, 2}, {2, 0}, {4, 4}, {4, 0}},
+      // no entries at all
+      {},
+  };
+  const Storage storages[] = {
+      {grb::ForceIndexWidth::auto_select, false, grb::IndexWidth::u32},
+      {grb::ForceIndexWidth::u32, false, grb::IndexWidth::u32},
+      {grb::ForceIndexWidth::u64, false, grb::IndexWidth::u64},
+      {grb::ForceIndexWidth::auto_select, true, grb::IndexWidth::u32},
+  };
+  constexpr Index n = 5;
+  char msg[LAGRAPH_MSG_LEN];
+  for (const Edges &edges : cases) {
+    std::set<std::pair<Index, Index>> pattern(edges.begin(), edges.end());
+    std::vector<std::int64_t> deg(n, 0);
+    std::int64_t ndiag = 0;
+    bool sym = true;
+    for (const auto &[i, j] : edges) {
+      ++deg[i];
+      ndiag += i == j ? 1 : 0;
+      sym = sym && pattern.count({j, i}) != 0;
+    }
+    for (const Storage &st : storages) {
+      SCOPED_TRACE(::testing::Message()
+                   << edges.size() << " edges, width "
+                   << grb::force_index_width_name(st.width)
+                   << (st.hypersparse ? ", hypersparse" : ""));
+      const grb::ForceIndexWidth saved = grb::config().force_index_width;
+      grb::config().force_index_width = st.width;
+      std::vector<Index> ri, ci;
+      std::vector<double> vv;
+      for (const auto &[i, j] : edges) {
+        ri.push_back(i);
+        ci.push_back(j);
+        vv.push_back(1.0);
+      }
+      grb::Matrix<double> a(n, n);
+      a.build(ri, ci, vv);
+      if (st.hypersparse) a.to_hypersparse();
+      Graph<double> g(std::move(a), Kind::adjacency_directed);
+      ASSERT_EQ(g.a.index_width(), st.expect);
+      ASSERT_EQ(lagraph::property_row_degree(g, msg), LAGRAPH_OK) << msg;
+      ASSERT_EQ(lagraph::property_symmetric_pattern(g, msg), LAGRAPH_OK)
+          << msg;
+      ASSERT_EQ(lagraph::property_ndiag(g, msg), LAGRAPH_OK) << msg;
+      grb::config().force_index_width = saved;
+
+      for (Index i = 0; i < n; ++i) {
+        // An empty row has no entry (PageRank's dangling-node leak).
+        const auto d = g.row_degree->get(i);
+        EXPECT_EQ(d.has_value(), deg[i] != 0) << "row " << i;
+        if (d) {
+          EXPECT_EQ(*d, deg[i]) << "row " << i;
+        }
+      }
+      EXPECT_EQ(g.a_pattern_is_symmetric,
+                sym ? BooleanProperty::yes : BooleanProperty::no);
+      EXPECT_EQ(g.ndiag, ndiag);
+      EXPECT_EQ(lagraph::check_graph(g, msg), LAGRAPH_OK) << msg;
+    }
+  }
 }
