@@ -5,13 +5,15 @@
 // scalar. select keeps the entries for which an index-unary predicate
 // f(value, i, j, thunk) holds, zeroing out (dropping) the rest.
 //
-// Vector forms keep the input's format. On a bitmap input both write each
-// kept entry straight into its result slot, and the slots are the bitmap
-// result. On a sparse input apply keeps u's index list and maps its values,
-// while select filters through detail::emit_sparse: arrays reserved to |u|,
-// written directly when the input is one chunk (grb/parallel.hpp). Matrix
-// select counts each row's kept entries, then fills a CSR of exactly that
-// size. All match the serial walk exactly.
+// Vector forms keep the input's format. A full input, in an apply with no
+// mask, accumulator or complement, is mapped into w's own value array in one
+// branch-free pass (detail::fill_full; w may be u). On a bitmap input both
+// write each kept entry straight into its result slot, and the slots are
+// the bitmap result. On a sparse input apply keeps u's index list and maps
+// its values, while select filters through detail::emit_sparse: arrays
+// reserved to |u|, written directly when the input is one chunk
+// (grb/parallel.hpp). Matrix select counts each row's kept entries, then
+// fills a CSR of exactly that size. All match the serial walk exactly.
 #pragma once
 
 #include <numeric>
@@ -35,6 +37,22 @@ void apply(Vector<W> &w, const MaskT &mask, Accum accum, F f,
   trace::ScopedSpan sp(trace::SpanKind::apply);
   sp.set_in_nvals(u.nvals());
   const int parts = plan::chunk_parts(u.nvals(), 2);
+  Vector<W> *into = detail::full_target(w, mask, accum, d);
+  if (into != nullptr && u.is_full() &&
+      config().force_format != ForceFormat::sparse) {
+    // PageRank's t = |t| every iteration: position i of u is read before
+    // w(i) is written, so w may be u. Config::force_format = sparse keeps
+    // the reference path below, as it does for the planned ops.
+    const U *uvp = u.bitmap_values();
+    detail::fill_full(*into, detail::partition_even(n, parts),
+                      [&](Index lo, Index hi, W *wv) {
+                        for (Index i = lo; i < hi; ++i) {
+                          wv[i] = static_cast<W>(f(static_cast<W>(uvp[i])));
+                        }
+                      });
+    sp.set_out_nvals(n);
+    return;
+  }
   Vector<W> t(n);
   if (u.format() == Vector<U>::Format::sparse) {
     auto ui = u.sparse_indices();

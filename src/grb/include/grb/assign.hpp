@@ -13,6 +13,7 @@
 // connected-components algorithm relies on for its hooking steps.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -352,13 +353,12 @@ void assign(Vector<W> &w, const MaskT &mask, Accum accum, const S &s,
   } else if (indices.is_all() && !d.mask_complement &&
              w.format() == Vector<W>::Format::bitmap &&
              !is_accum_v<Accum>) {
-    // w(ALL) = s with no mask: fill in place (the PageRank teleport reset).
+    // w(ALL) = s with no mask: fill in place (the PageRank teleport reset),
+    // presence and values each in one plain fill.
     auto *wp = w.bitmap_present_mut();
     auto *wv = w.bitmap_values_mut();
-    for (Index p = 0; p < n; ++p) {
-      wp[p] = 1;
-      wv[p] = static_cast<W>(s);
-    }
+    std::fill(wp, wp + n, std::uint8_t{1});
+    std::fill(wv, wv + n, static_cast<W>(s));
     w.set_bitmap_nvals(n);
     return;
   }

@@ -7,17 +7,20 @@
 // unchanged); eWiseMult applies op on the intersection.
 //
 // All paths are parallel (grb/parallel.hpp): the index space is split into
-// contiguous chunks. Two bitmap vectors give a bitmap result whose slots
-// each chunk fills in place; the sparse paths emit through emit_sparse,
-// reserved to |u| + |v| for a union and min(|u|, |v|) for an intersection,
-// straight into the result when the operands are one chunk and into
-// per-chunk buffers concatenated in chunk order otherwise. Position-wise
-// ops have no cross-chunk state, so the result is identical to the serial
-// walk for any thread count.
+// contiguous chunks. Two full operands, in a call with no mask, accumulator
+// or complement, are written into w's own value array in one branch-free
+// pass (union and intersection are then the same loop). Two bitmap vectors
+// give a bitmap result whose slots each chunk fills in place; the sparse
+// paths emit through emit_sparse, reserved to |u| + |v| for a union and
+// min(|u|, |v|) for an intersection, straight into the result when the
+// operands are one chunk and into per-chunk buffers concatenated in chunk
+// order otherwise. Position-wise ops have no cross-chunk state, so the
+// result is identical to the serial walk for any thread count.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <vector>
 
 #include "grb/mask.hpp"
@@ -28,8 +31,12 @@
 namespace grb {
 namespace detail {
 
+/// u op v over the union or intersection of the structures. When `into` is
+/// given (full_target) and the planned operands are both full, the result
+/// goes straight into *into and nothing is returned.
 template <typename Z, typename Op, typename U, typename V, bool UnionMode>
-Vector<Z> ewise_vec(Op op, const Vector<U> &u, const Vector<V> &v) {
+std::optional<Vector<Z>> ewise_vec(Op op, const Vector<U> &u,
+                                   const Vector<V> &v, Vector<Z> *into) {
   check_same_size(u.size(), v.size(), "eWise: dimension mismatch");
   const Index n = u.size();
   trace::ScopedSpan sp(UnionMode ? trace::SpanKind::ewise_add
@@ -48,10 +55,26 @@ Vector<Z> ewise_vec(Op op, const Vector<U> &u, const Vector<V> &v) {
   plan::prepare(u, pl.u_format);
   plan::prepare(v, pl.v_format);
 
+  if (into != nullptr && u.is_full() && v.is_full()) {
+    // Hot path (PageRank's w = t ./ d and t = t - r every iteration): no
+    // presence to test or set, and no fresh result. Position i of u and v
+    // is read before w(i) is written, so w may be u or v.
+    const U *uv = u.bitmap_values();
+    const V *vv = v.bitmap_values();
+    fill_full(*into, partition_even(n, plan::chunk_parts(n, 2)),
+              [&](Index lo, Index hi, Z *wv) {
+                for (Index i = lo; i < hi; ++i) {
+                  wv[i] = static_cast<Z>(
+                      op(static_cast<Z>(uv[i]), static_cast<Z>(vv[i])));
+                }
+              });
+    sp.set_out_nvals(n);
+    return std::nullopt;
+  }
+
   if (u.format() == Vector<U>::Format::bitmap &&
       v.format() == Vector<V>::Format::bitmap) {
-    // Hot path (e.g. PageRank's w = t ./ d and t = t - r every iteration):
-    // walk the raw bitmap arrays and fill each position's result slot, so
+    // Walk the raw bitmap arrays and fill each position's result slot, so
     // the result is a bitmap. Union over mixed formats lands here too: the
     // planner promoted both sides to bitmap.
     const std::uint8_t *up = u.bitmap_present();
@@ -283,8 +306,9 @@ void eWiseAdd(Vector<W> &w, const MaskT &mask, Accum accum, Op op,
               const Vector<U> &u, const Vector<V> &v,
               const Descriptor &d = desc::DEFAULT) {
   detail::check_same_size(w.size(), u.size(), "eWiseAdd: output size mismatch");
-  auto t = detail::ewise_vec<W, Op, U, V, true>(op, u, v);
-  detail::write_result(w, std::move(t), mask, accum, d);
+  auto t = detail::ewise_vec<W, Op, U, V, true>(
+      op, u, v, detail::full_target(w, mask, accum, d));
+  if (t) detail::write_result(w, std::move(*t), mask, accum, d);
 }
 
 /// w⟨m⟩ ⊙= u op∩ v
@@ -294,8 +318,9 @@ void eWiseMult(Vector<W> &w, const MaskT &mask, Accum accum, Op op,
                const Vector<U> &u, const Vector<V> &v,
                const Descriptor &d = desc::DEFAULT) {
   detail::check_same_size(w.size(), u.size(), "eWiseMult: output size mismatch");
-  auto t = detail::ewise_vec<W, Op, U, V, false>(op, u, v);
-  detail::write_result(w, std::move(t), mask, accum, d);
+  auto t = detail::ewise_vec<W, Op, U, V, false>(
+      op, u, v, detail::full_target(w, mask, accum, d));
+  if (t) detail::write_result(w, std::move(*t), mask, accum, d);
 }
 
 /// C⟨M⟩ ⊙= A op∪ B

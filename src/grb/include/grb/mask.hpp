@@ -16,11 +16,17 @@
 //   - in-place fold: when w or T is bitmap (a dense result: pull products,
 //     eWise of two bitmaps, apply/select/reduce slots), w becomes a bitmap
 //     and one pass over [0, n) decides each position's fate and writes it
-//     into w's arrays. An accumulator into a full bitmap w so costs one pass
-//     (PageRank's r += Aᵀw). The mask may be w itself: position i's mask bit
-//     is read before w(i) is written;
+//     into w's arrays. An accumulator into a bitmap w so costs one pass.
+//     The mask may be w itself: position i's mask bit is read before w(i)
+//     is written;
 //   - sorted merge: w and T both sparse build a fresh sorted list.
 // A final density check (Vector::maybe_switch_format) picks w's format.
+//
+// Ops on full vectors never reach write_result. An element-wise op or apply
+// with no mask, no accumulator and no complement (full_target) whose
+// operands are all full writes w's values in place (detail::fill_full), and
+// an accumulating pull with no mask into a full w folds each row's dot
+// straight into w(i) (mxv.hpp). Both produce what the routes above would.
 #pragma once
 
 #include <type_traits>
@@ -86,6 +92,21 @@ inline void check_matrix_mask(const MaskT &mask, Index m, Index n) {
     (void)mask;
     (void)m;
     (void)n;
+  }
+}
+
+/// The vector an element-wise op or apply may write in place: w itself when
+/// the call has no mask, no accumulator and no complemented descriptor, so
+/// that its result replaces w outright; otherwise nullptr.
+template <typename W, typename MaskT, typename Accum>
+Vector<W> *full_target(Vector<W> &w, const MaskT &, Accum,
+                       const Descriptor &d) {
+  if constexpr (has_mask_v<MaskT> || is_accum_v<Accum>) {
+    (void)w;
+    (void)d;
+    return nullptr;
+  } else {
+    return d.mask_complement ? nullptr : &w;
   }
 }
 

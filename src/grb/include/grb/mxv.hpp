@@ -24,10 +24,12 @@
 //   - the pull kernel partitions rows by the CSR row-pointer prefix (nnz)
 //     instead of row count, so power-law hub rows no longer serialize a
 //     dynamic schedule. It picks A's format (CSR per index width, bitmap,
-//     full, hypersparse) and u's probe form (bitmap or binary search) once
-//     per call, and each pair runs its own typed row loop. Each row writes
-//     only its own result slot, and the slots are returned as a bitmap
-//     vector, which the output step folds into w in place.
+//     full, hypersparse) and u's probe form (full, bitmap or binary search)
+//     once per call, and each pair runs its own typed row loop. The loop
+//     hands each row's dot to a sink, its one parameter: the row's own
+//     result slot, returned as a bitmap vector that the output step folds
+//     into w in place, or — for an accumulating pull with no mask into a
+//     full w — w(i) itself, as accum(w(i), dot) (SS:GrB's dot4 form).
 //
 // Masks are pushed down into both kernels (output positions outside the
 // effective mask are never computed) and then the common output step in
@@ -231,17 +233,21 @@ Vector<Z> push_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
              [n = a.ncols()](Index) { return n; });
 }
 
-/// Dot kernel: for each row i of A passing `row_allowed`, reduce
-/// combine(a(i,k), u(k), i, k) over the entries shared with u. With an
-/// all-terminal (`any`) monoid this stops at the first shared entry — the
-/// bottom-up BFS early exit. Rows are chunked by nnz (the CSR row pointer is
-/// the work prefix sum), not by count. Each row writes only its own result
-/// slot, and the slots are returned as a bitmap vector.
-template <typename Z, typename SR, typename AT, typename U, typename Pred,
-          typename Combine>
-Vector<Z> dot_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
-                     Pred &&row_allowed, Combine &&combine,
-                     [[maybe_unused]] const plan::ExecPlan &pl) {
+/// The pull's row loop: for each row i of A passing `row_allowed`, reduce
+/// combine(a(i,k), u(k), i, k) over the entries shared with u, and hand each
+/// row that has a product to a sink as sink(i, dot). With an all-terminal
+/// (`any`) monoid a row stops at its first shared entry — the bottom-up BFS
+/// early exit. Rows are chunked by nnz (the CSR row pointer is the work
+/// prefix sum), not by count. `into(bounds, rows)` decides where the dots
+/// land: it runs rows(lo, hi, sink) over the chunks of `bounds`, and what it
+/// returns is returned. Each row reaches the sink only for its own i. A
+/// caller whose plan always leaves u bitmap passes SparseProbe = false, so
+/// no binary-search row loop is instantiated for it.
+template <typename Z, bool SparseProbe, typename SR, typename AT, typename U,
+          typename Pred, typename Combine, typename Into>
+auto pull_rows(SR sr, const Matrix<AT> &a, const Vector<U> &u,
+               Pred &&row_allowed, Combine &&combine,
+               [[maybe_unused]] const plan::ExecPlan &pl, Into &&into) {
   stats().pull_calls.fetch_add(1, std::memory_order_relaxed);
   using AddM = typename SR::add_monoid;
   const Index m = a.nrows();
@@ -257,9 +263,7 @@ Vector<Z> dot_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
   // probe(k) returns u(k), or nullptr where u has no entry.
   auto dot_rows = [&](const std::vector<Index> &bounds, auto probe,
                       auto scan) {
-    return fill_slots<Z>(m, bounds, [&](Index lo, Index hi,
-                                        std::uint8_t *found, Z *out) {
-      Index hits = 0;
+    return into(bounds, [&, probe, scan](Index lo, Index hi, auto &&sink) {
       for (Index i = lo; i < hi; ++i) {
         if (!row_allowed(i)) continue;
         bool hit = false;
@@ -279,38 +283,40 @@ Vector<Z> dot_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
           }
           return false;
         });
-        if (hit) {
-          found[i] = 1;
-          out[i] = acc;
-          ++hits;
-        }
+        if (hit) sink(i, acc);
       }
-      return hits;
     });
   };
 
   // The probed operand's format is a plan decision (bitmap = O(1) probes,
   // "particularly important for the 'pull' phase", §VI-A; sorted sparse =
   // binary-search probes, the format ablation's path). The entry point
-  // already converted u via plan::prepare — this kernel only executes.
+  // already converted u via plan::prepare — this kernel only executes. A
+  // full u is probed without a presence test.
   auto probed_rows = [&](const std::vector<Index> &bounds, auto scan) {
-    if (u.format() == Vector<U>::Format::bitmap) {
-      const std::uint8_t *up = u.bitmap_present();
-      const U *uv = u.bitmap_values();
-      return dot_rows(
-          bounds,
-          [up, uv](Index k) -> const U * { return up[k] ? &uv[k] : nullptr; },
-          scan);
+    if constexpr (SparseProbe) {
+      if (u.format() == Vector<U>::Format::sparse) {
+        auto ui = u.sparse_indices();
+        auto uv = u.sparse_values();
+        return dot_rows(
+            bounds,
+            [ui, uv](Index k) -> const U * {
+              auto it = std::lower_bound(ui.begin(), ui.end(), k);
+              if (it == ui.end() || *it != k) return nullptr;
+              return &uv[static_cast<std::size_t>(it - ui.begin())];
+            },
+            scan);
+      }
     }
-    auto ui = u.sparse_indices();
-    auto uv = u.sparse_values();
+    const U *uv = u.bitmap_values();
+    if (u.is_full()) {
+      return dot_rows(
+          bounds, [uv](Index k) -> const U * { return &uv[k]; }, scan);
+    }
+    const std::uint8_t *up = u.bitmap_present();
     return dot_rows(
         bounds,
-        [ui, uv](Index k) -> const U * {
-          auto it = std::lower_bound(ui.begin(), ui.end(), k);
-          if (it == ui.end() || *it != k) return nullptr;
-          return &uv[static_cast<std::size_t>(it - ui.begin())];
-        },
+        [up, uv](Index k) -> const U * { return up[k] ? &uv[k] : nullptr; },
         scan);
   };
 
@@ -365,6 +371,54 @@ Vector<Z> dot_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
   });
 }
 
+/// Dot kernel: the pull's rows with each dot in its own result slot, and
+/// the slots returned as a bitmap vector.
+template <typename Z, typename SR, typename AT, typename U, typename Pred,
+          typename Combine>
+Vector<Z> dot_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
+                     Pred &&row_allowed, Combine &&combine,
+                     const plan::ExecPlan &pl) {
+  return pull_rows<Z, /*SparseProbe=*/true>(
+      sr, a, u, row_allowed, combine, pl,
+      [m = a.nrows()](const std::vector<Index> &bounds, auto rows) {
+        return fill_slots<Z>(m, bounds, [&](Index lo, Index hi,
+                                            std::uint8_t *found, Z *out) {
+          Index hits = 0;
+          rows(lo, hi, [&](Index i, const Z &dot) {
+            found[i] = 1;
+            out[i] = dot;
+            ++hits;
+          });
+          return hits;
+        });
+      });
+}
+
+/// The effective-mask test a kernel applies to each output position, and
+/// the semiring multiply of a product entry called as (a, u, out, k), with
+/// `out` the output position and k the shared index: u ⊗ a for vxm (u is a
+/// row vector at coordinates (0, k)), a ⊗ u for mxv. Each closure type
+/// depends only on the operand types, so vxm, mxv and the fused entry points
+/// share one kernel instantiation across w types and accumulators.
+template <typename MaskT>
+auto mask_allows(const MaskT &mask, const Descriptor &d) {
+  return [&mask, &d](Index i) { return vmask_test(mask, i, d); };
+}
+
+template <typename AT, typename U, typename SR>
+auto u_times_a(SR sr) {
+  return [sr](const AT &aval, const U &uval, Index out, Index k) {
+    return sr.multiply(uval, aval, Index{0}, k, out);
+  };
+}
+
+template <typename AT, typename U, typename SR>
+auto a_times_u(SR sr) {
+  return [sr](const AT &aval, const U &uval, Index out, Index k) {
+    return sr.multiply(aval, uval, out, k, Index{0});
+  };
+}
+
 /// Shared planning step for vxm/mxv and the fused entry points that wrap
 /// them: `op` and `transpose_a` fix the direction (mxv without transpose =
 /// pull dot, with transpose = push scatter; vxm the other way round), and a
@@ -387,82 +441,58 @@ plan::ExecPlan plan_product(plan::OpKind op, bool transpose_a,
   return pl;
 }
 
-/// The product halves of vxm and mxv: plan, run the kernel, and return the
-/// masked product t. They take neither w's value type nor the accumulator,
-/// so every (w type, accumulator) pair shares one kernel instantiation.
-template <typename SR, typename AT, typename U, typename MaskT>
-Vector<typename SR::value_type> vxm_product(SR sr, const Vector<U> &u,
-                                            const Matrix<AT> &a,
-                                            const MaskT &mask,
-                                            const Descriptor &d, Index w_size,
-                                            trace::ScopedSpan &sp) {
+/// The output step of a pull: w⟨mask⟩ ⊙= the dots of the rows of A with u.
+/// With no mask, an accumulator and no complement, into a full w that is
+/// not u, under a plan that left u bitmap, each row's dot folds into w(i) as
+/// accum(w(i), dot), and a row with no product keeps w(i): SS:GrB's dot4,
+/// C += A'*B with C full, with no slot array and no fold pass. The fold
+/// order is write_result's, so the result is bit-identical. Otherwise the
+/// dots fill result slots and write_result folds them into w.
+template <typename W, typename MaskT, typename Accum, typename SR, typename AT,
+          typename U, typename Combine>
+void pull_into(Vector<W> &w, const MaskT &mask, Accum accum, SR sr,
+               const Matrix<AT> &a, const Vector<U> &u, Combine &&combine,
+               const Descriptor &d, const plan::ExecPlan &pl,
+               trace::ScopedSpan &sp) {
   using Z = typename SR::value_type;
-  auto allowed = [&](Index j) { return vmask_test(mask, j, d); };
-  sp.set_in_nvals(u.nvals());
-  if (!d.transpose_a) {
-    check_same_size(u.size(), a.nrows(), "vxm: u/A dimension mismatch");
-    check_vector_mask(mask, a.ncols());
-    check_same_size(w_size, a.ncols(), "vxm: w/A dimension mismatch");
-    const auto pl = plan_product(plan::OpKind::vxm, false, u, mask, d);
-    sp.set_plan(pl);
-    // w(j) = ⊕_k u(k) ⊗ a(k,j): first operand u (row vector, coords (0,k)),
-    // second operand a(k,j).
-    return push_kernel<Z>(
-        sr, a, u, allowed,
-        [&](const AT &aval, const U &uval, Index j, Index k) {
-          return sr.multiply(uval, aval, Index{0}, k, j);
-        },
-        a.ncols(), pl);
+  auto allowed = mask_allows(mask, d);
+  if constexpr (!has_mask_v<MaskT> && is_accum_v<Accum>) {
+    // A complemented descriptor selects no row, and under replace it also
+    // clears w: that is write_result's to do.
+    if (!d.mask_complement && w.is_full() &&
+        pl.u_format == plan::VecFormat::bitmap &&
+        static_cast<const void *>(&w) != static_cast<const void *>(&u)) {
+      W *wv = w.bitmap_values_mut();
+      pull_rows<Z, /*SparseProbe=*/false>(
+          sr, a, u, allowed, combine, pl,
+          [&](const std::vector<Index> &bounds, auto rows) {
+            for_each_chunk(bounds, [&](int, Index lo, Index hi) {
+              rows(lo, hi, [&](Index i, const Z &dot) {
+                wv[i] = accum_apply<W>(accum, wv[i], dot);
+              });
+            });
+          });
+      sp.set_out_nvals(w.nvals());
+      return;
+    }
   }
-  check_same_size(u.size(), a.ncols(), "vxm: u/Aᵀ dimension mismatch");
-  check_vector_mask(mask, a.nrows());
-  check_same_size(w_size, a.nrows(), "vxm: w/Aᵀ dimension mismatch");
-  const auto pl = plan_product(plan::OpKind::vxm, true, u, mask, d);
-  sp.set_plan(pl);
-  // w(i) = ⊕_k u(k) ⊗ aᵀ(k,i) = ⊕_k u(k) ⊗ a(i,k): dot products over rows.
-  return dot_kernel<Z>(
-      sr, a, u, allowed,
-      [&](const AT &aval, const U &uval, Index i, Index k) {
-        return sr.multiply(uval, aval, Index{0}, k, i);
-      },
-      pl);
+  auto t = dot_kernel<Z>(sr, a, u, allowed, combine, pl);
+  sp.set_out_nvals(t.nvals());
+  write_result(w, std::move(t), mask, accum, d, /*t_is_masked=*/true);
 }
 
-template <typename SR, typename AT, typename U, typename MaskT>
-Vector<typename SR::value_type> mxv_product(SR sr, const Matrix<AT> &a,
-                                            const Vector<U> &u,
-                                            const MaskT &mask,
-                                            const Descriptor &d, Index w_size,
-                                            trace::ScopedSpan &sp) {
-  using Z = typename SR::value_type;
-  auto allowed = [&](Index i) { return vmask_test(mask, i, d); };
-  sp.set_in_nvals(u.nvals());
-  if (!d.transpose_a) {
-    check_same_size(u.size(), a.ncols(), "mxv: u/A dimension mismatch");
-    check_vector_mask(mask, a.nrows());
-    check_same_size(w_size, a.nrows(), "mxv: w/A dimension mismatch");
-    const auto pl = plan_product(plan::OpKind::mxv, false, u, mask, d);
-    sp.set_plan(pl);
-    // w(i) = ⊕_k a(i,k) ⊗ u(k): first operand is the matrix element.
-    return dot_kernel<Z>(
-        sr, a, u, allowed,
-        [&](const AT &aval, const U &uval, Index i, Index k) {
-          return sr.multiply(aval, uval, i, k, Index{0});
-        },
-        pl);
-  }
-  check_same_size(u.size(), a.nrows(), "mxv: u/Aᵀ dimension mismatch");
-  check_vector_mask(mask, a.ncols());
-  check_same_size(w_size, a.ncols(), "mxv: w/Aᵀ dimension mismatch");
-  const auto pl = plan_product(plan::OpKind::mxv, true, u, mask, d);
-  sp.set_plan(pl);
-  // w(j) = ⊕_k aᵀ(j,k) ⊗ u(k) = ⊕_k a(k,j) ⊗ u(k): scatter along rows of A.
-  return push_kernel<Z>(
-      sr, a, u, allowed,
-      [&](const AT &aval, const U &uval, Index j, Index k) {
-        return sr.multiply(aval, uval, j, k, Index{0});
-      },
-      a.ncols(), pl);
+/// The output step of a push: scatter u along the rows of A into a sparse
+/// product, then fold it into w.
+template <typename W, typename MaskT, typename Accum, typename SR, typename AT,
+          typename U, typename Combine>
+void push_into(Vector<W> &w, const MaskT &mask, Accum accum, SR sr,
+               const Matrix<AT> &a, const Vector<U> &u, Combine &&combine,
+               const Descriptor &d, const plan::ExecPlan &pl,
+               trace::ScopedSpan &sp) {
+  auto t = push_kernel<typename SR::value_type>(
+      sr, a, u, mask_allows(mask, d), combine, a.ncols(), pl);
+  sp.set_out_nvals(t.nvals());
+  write_result(w, std::move(t), mask, accum, d, /*t_is_masked=*/true);
 }
 
 }  // namespace detail
@@ -474,9 +504,26 @@ void vxm(Vector<W> &w, const MaskT &mask, Accum accum, SR sr,
          const Vector<U> &u, const Matrix<AT> &a,
          const Descriptor &d = desc::DEFAULT) {
   trace::ScopedSpan sp(trace::SpanKind::vxm);
-  auto t = detail::vxm_product(sr, u, a, mask, d, w.size(), sp);
-  sp.set_out_nvals(t.nvals());
-  detail::write_result(w, std::move(t), mask, accum, d, /*t_is_masked=*/true);
+  sp.set_in_nvals(u.nvals());
+  const Index out = d.transpose_a ? a.nrows() : a.ncols();
+  detail::check_same_size(u.size(), d.transpose_a ? a.ncols() : a.nrows(),
+                          d.transpose_a ? "vxm: u/Aᵀ dimension mismatch"
+                                        : "vxm: u/A dimension mismatch");
+  detail::check_vector_mask(mask, out);
+  detail::check_same_size(w.size(), out,
+                          d.transpose_a ? "vxm: w/Aᵀ dimension mismatch"
+                                        : "vxm: w/A dimension mismatch");
+  const auto pl =
+      detail::plan_product(plan::OpKind::vxm, d.transpose_a, u, mask, d);
+  sp.set_plan(pl);
+  // w(j) = ⊕_k u(k) ⊗ a(k,j) scatters along rows of A; under transpose
+  // w(i) = ⊕_k u(k) ⊗ a(i,k) is a dot product per row.
+  auto combine = detail::u_times_a<AT, U>(sr);
+  if (d.transpose_a) {
+    detail::pull_into(w, mask, accum, sr, a, u, combine, d, pl, sp);
+  } else {
+    detail::push_into(w, mask, accum, sr, a, u, combine, d, pl, sp);
+  }
 }
 
 /// w⟨m⟩ ⊙= A ⊕.⊗ u  (pull; with desc.transpose_a: Aᵀ ⊕.⊗ u, a push).
@@ -486,9 +533,26 @@ void mxv(Vector<W> &w, const MaskT &mask, Accum accum, SR sr,
          const Matrix<AT> &a, const Vector<U> &u,
          const Descriptor &d = desc::DEFAULT) {
   trace::ScopedSpan sp(trace::SpanKind::mxv);
-  auto t = detail::mxv_product(sr, a, u, mask, d, w.size(), sp);
-  sp.set_out_nvals(t.nvals());
-  detail::write_result(w, std::move(t), mask, accum, d, /*t_is_masked=*/true);
+  sp.set_in_nvals(u.nvals());
+  const Index out = d.transpose_a ? a.ncols() : a.nrows();
+  detail::check_same_size(u.size(), d.transpose_a ? a.nrows() : a.ncols(),
+                          d.transpose_a ? "mxv: u/Aᵀ dimension mismatch"
+                                        : "mxv: u/A dimension mismatch");
+  detail::check_vector_mask(mask, out);
+  detail::check_same_size(w.size(), out,
+                          d.transpose_a ? "mxv: w/Aᵀ dimension mismatch"
+                                        : "mxv: w/A dimension mismatch");
+  const auto pl =
+      detail::plan_product(plan::OpKind::mxv, d.transpose_a, u, mask, d);
+  sp.set_plan(pl);
+  // w(i) = ⊕_k a(i,k) ⊗ u(k) is a dot product per row; under transpose
+  // w(j) = ⊕_k a(k,j) ⊗ u(k) scatters along rows of A.
+  auto combine = detail::a_times_u<AT, U>(sr);
+  if (d.transpose_a) {
+    detail::push_into(w, mask, accum, sr, a, u, combine, d, pl, sp);
+  } else {
+    detail::pull_into(w, mask, accum, sr, a, u, combine, d, pl, sp);
+  }
 }
 
 namespace detail {
@@ -594,22 +658,14 @@ void fused_product_stamp(bool pull_form, Vector<W> &w,
   trace::ScopedSpan sp(trace::SpanKind::fused_mxv_apply);
   sp.set_in_nvals(u.nvals());
   sp.set_plan(pl);
-  auto allowed = [&](Index i) { return vmask_test(mask, i, d); };
+  auto allowed = mask_allows(mask, d);
   Vector<Z> t(0);
   if (pull_form) {
-    t = dot_kernel<Z>(
-        sr, a, u, allowed,
-        [&](const AT &aval, const W &uval, Index i, Index k) {
-          return sr.multiply(aval, uval, i, k, Index{0});
-        },
-        pl);
+    auto combine = a_times_u<AT, W>(sr);
+    t = dot_kernel<Z>(sr, a, u, allowed, combine, pl);
   } else {
-    t = push_kernel<Z>(
-        sr, a, u, allowed,
-        [&](const AT &aval, const W &uval, Index j, Index k) {
-          return sr.multiply(uval, aval, Index{0}, k, j);
-        },
-        a.ncols(), pl);
+    auto combine = u_times_a<AT, W>(sr);
+    t = push_kernel<Z>(sr, a, u, allowed, combine, a.ncols(), pl);
   }
   sp.set_out_nvals(t.nvals());
   write_result(w, std::move(t), mask, NoAccum{}, d, /*t_is_masked=*/true);

@@ -287,6 +287,10 @@ class WorkspaceLease {
 // Shared output-assembly helpers
 // ---------------------------------------------------------------------------
 
+// Three writers, one per result shape: fill_slots (a bitmap result, possibly
+// with holes), fill_full (a full result written into w's own arrays) and
+// emit_sparse (a sparse result).
+
 /// Build a size-n bitmap result from per-position slots. Each chunk of
 /// `bounds` (a split of [0, n)) runs fill(lo, hi, found, out): it sets
 /// found[i] = 1 and out[i] for the positions i in [lo, hi) that get an
@@ -306,6 +310,19 @@ Vector<Z> fill_slots(Index n, const std::vector<Index> &bounds, Fill &&fill) {
   Vector<Z> t(n);
   t.adopt_bitmap(std::move(found), std::move(out), nvals);
   return t;
+}
+
+/// Write a full result into w in place — the full-vector counterpart of
+/// fill_slots. w becomes a bitmap with every slot present, keeping its
+/// arrays when it already is one; then each chunk of `bounds` (a split of
+/// [0, w.size())) runs write(lo, hi, wv), which stores wv[i] for every i in
+/// [lo, hi) and no other position. An element-wise write reads position i
+/// of its operands before it stores wv[i], so an operand may be w itself.
+template <typename W, typename Write>
+void fill_full(Vector<W> &w, const std::vector<Index> &bounds, Write &&write) {
+  if (!w.is_full()) w = Vector<W>::full(w.size(), W{});
+  W *wv = w.bitmap_values_mut();
+  for_each_chunk(bounds, [&](int, Index lo, Index hi) { write(lo, hi, wv); });
 }
 
 /// Concatenate per-chunk (idx, val) buffers in chunk order.

@@ -117,36 +117,36 @@ void reduce(S &s, Accum accum, M monoid, const Vector<U> &u) {
   trace::ScopedSpan sp(trace::SpanKind::reduce);
   sp.set_in_nvals(u.nvals());
   sp.set_out_nvals(1);
+  // A sparse u's values, or a full u's value array, fold without presence
+  // tests; a bitmap with holes tests each slot. Either way in ascending
+  // index order.
+  const bool sparse = u.format() == Vector<U>::Format::sparse;
+  const U *vals = sparse ? u.sparse_values().data() : u.bitmap_values();
+  const std::uint8_t *up =
+      sparse || u.is_full() ? nullptr : u.bitmap_present();
+  const Index m = sparse ? u.nvals() : u.size();
+  auto fold = [&](Z p, Index lo, Index hi) {
+    if (up == nullptr) {
+      for (Index i = lo; i < hi; ++i) p = monoid(p, static_cast<Z>(vals[i]));
+    } else {
+      for (Index i = lo; i < hi; ++i) {
+        if (up[i]) p = monoid(p, static_cast<Z>(vals[i]));
+      }
+    }
+    return p;
+  };
   Z acc = M::identity();
   const int parts = plan::chunk_parts(u.nvals(), 4);
-  if (parts > 1 && u.format() == Vector<U>::Format::sparse) {
-    auto uv = u.sparse_values();
-    auto bounds = detail::partition_even(static_cast<Index>(uv.size()), parts);
+  if (parts > 1) {
+    auto bounds = detail::partition_even(m, parts);
     const int nchunks = static_cast<int>(bounds.size()) - 1;
     std::vector<Z> part(static_cast<std::size_t>(nchunks), M::identity());
     detail::for_each_chunk(bounds, [&](int c, Index lo, Index hi) {
-      Z p = M::identity();
-      for (Index i = lo; i < hi; ++i) p = monoid(p, static_cast<Z>(uv[i]));
-      part[c] = p;
-    });
-    for (const Z &p : part) acc = monoid(acc, p);
-  } else if (parts > 1) {
-    const std::uint8_t *up = u.bitmap_present();
-    const U *uvp = u.bitmap_values();
-    auto bounds = detail::partition_even(u.size(), parts);
-    const int nchunks = static_cast<int>(bounds.size()) - 1;
-    std::vector<Z> part(static_cast<std::size_t>(nchunks), M::identity());
-    detail::for_each_chunk(bounds, [&](int c, Index lo, Index hi) {
-      Z p = M::identity();
-      for (Index i = lo; i < hi; ++i) {
-        if (up[i]) p = monoid(p, static_cast<Z>(uvp[i]));
-      }
-      part[c] = p;
+      part[c] = fold(M::identity(), lo, hi);
     });
     for (const Z &p : part) acc = monoid(acc, p);
   } else {
-    u.for_each(
-        [&](Index, const U &x) { acc = monoid(acc, static_cast<Z>(x)); });
+    acc = fold(acc, 0, m);
   }
   if constexpr (is_accum_v<Accum>) {
     s = static_cast<S>(accum(static_cast<Z>(s), acc));

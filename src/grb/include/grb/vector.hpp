@@ -10,6 +10,12 @@
 // Conversions are automatic based on density (see Config), and kernels may
 // request a specific format.
 //
+// A bitmap whose every slot is present is *full* (is_full()). Full is a
+// property of a bitmap, not a third format: nothing converts to it or away
+// from it. Element-wise ops, apply and an accumulating pull whose operands
+// are all full skip every presence test and write w's own value array in
+// place (SS:GrB v4's full format, §VI-A); see docs/API.md, "Result formats".
+//
 // Threading contract: format conversions are logically const (mutable
 // storage), so a vector follows the same "single writer OR finalized" rule
 // as grb::Matrix — finalize() pins the current format, after which const
@@ -59,6 +65,10 @@ class Vector {
   }
   [[nodiscard]] bool empty() const noexcept { return nvals() == 0; }
   [[nodiscard]] Format format() const noexcept { return fmt_; }
+  /// A bitmap holding an entry in every slot.
+  [[nodiscard]] bool is_full() const noexcept {
+    return fmt_ == Format::bitmap && nvals_ == n_;
+  }
 
   /// Storage width of the sparse index array. Vector indices stay 64-bit —
   /// frontiers are transient and the CSR matrices carry the memory win — but

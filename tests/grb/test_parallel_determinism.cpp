@@ -397,6 +397,66 @@ TEST_P(ParallelDeterminism, EwiseMultSparseAndBitmap) {
   }
 }
 
+// The full-vector paths: eWise ops and apply written into w's own arrays
+// (w aliasing an operand, and w fresh), and the accumulating pull folding
+// each row's dot into a full w. The vectors span 2^14 positions and the
+// pull runs over a scale-13 graph, so both clear kParallelGrain and chunk
+// at 4 and 8 threads.
+TEST_P(ParallelDeterminism, FullVectorsInPlace) {
+  Vector<double> u = make_frontier(kWide, 1);  // every position
+  u.to_bitmap();
+  ASSERT_TRUE(u.is_full());
+  std::vector<Index> idx;
+  std::vector<double> val;
+  u.extract_tuples(idx, val);
+  std::reverse(val.begin(), val.end());
+  Vector<double> v(kWide);
+  v.adopt_sparse(std::move(idx), std::move(val));
+  v.to_bitmap();
+  check_thread_sweep(
+      [&] {
+        Vector<double> w = u;
+        grb::eWiseAdd(w, no_mask, grb::NoAccum{}, grb::Minus{}, w, v);
+        return w;
+      },
+      "eWiseAdd (full, w = u)");
+  check_thread_sweep(
+      [&] {
+        Vector<double> w(kWide);
+        grb::eWiseMult(w, no_mask, grb::NoAccum{}, grb::Div{}, u, v);
+        return w;
+      },
+      "eWiseMult (full)");
+  check_thread_sweep(
+      [&] {
+        Vector<double> w = v;
+        grb::apply2nd(w, no_mask, grb::NoAccum{}, grb::Times{}, w, 0.5);
+        return w;
+      },
+      "apply2nd (full, w = u)");
+
+  const Matrix<double> big = make_graph(GetParam(), 13);
+  const Index nb = big.nrows();
+  Vector<double> x = make_frontier(nb, 1);
+  x.to_bitmap();
+  ASSERT_TRUE(x.is_full());
+  check_thread_sweep(
+      [&] {
+        Vector<double> w = Vector<double>::full(nb, 0.25);
+        grb::mxv(w, no_mask, grb::Plus{}, grb::PlusSecond<double>{}, big, x);
+        return w;
+      },
+      "mxv (accumulating pull into a full w)");
+  check_thread_sweep(
+      [&] {
+        Vector<double> w = x;
+        grb::vxm(w, no_mask, grb::Min{}, grb::MinPlus<double>{}, x, big,
+                 grb::desc::T0);
+        return w;
+      },
+      "vxm T0 (accumulating pull into a full w)");
+}
+
 TEST_P(ParallelDeterminism, VxmSelectRange) {
   // A frontier of every 2nd node pushes ~8 edges per entry, well above the
   // grain; every 16th stays below it.
@@ -492,29 +552,40 @@ INSTANTIATE_TEST_SUITE_P(Graphs, ParallelDeterminism, ::testing::Bool(),
                          });
 
 // Stress test: several std::threads hammer finalized shared containers with
-// the full kernel mix at once. This is the TSan target: under
-// -DLAGRAPH_SANITIZE=thread the main thread pins num_threads = 1 before
-// spawning (libgomp is uninstrumented and its barriers would be false
-// positives), so what TSan checks is the cross-thread contract — finalized matrices are read-only,
-// the workspace pool locks correctly, and Stats counters are atomic. In
-// normal builds the workers keep their thread override, so OpenMP teams from
+// the full kernel mix at once, including the in-place full-vector paths.
+// This is the TSan target (scripts/check.sh runs ParallelStress.* under
+// -DLAGRAPH_SANITIZE=thread): the test pins num_threads = 1 on its first
+// line, before its set-up builds anything (libgomp is uninstrumented and
+// its barriers would be false positives), so what TSan checks is the
+// cross-thread contract — finalized matrices and vectors are read-only, the
+// workspace pool locks correctly, and Stats counters are atomic. In normal
+// builds the workers keep their thread override, so OpenMP teams from
 // concurrent top-level callers also get exercised.
 TEST(ParallelStress, ConcurrentKernelsOnSharedGraph) {
+#if defined(__SANITIZE_THREAD__)
+  // First, before the set-up below forks any OpenMP team that TSan cannot
+  // see, and before the workers spawn: Config is plain data under the
+  // single-writer contract, so the override must not be written from
+  // inside the pool.
+  ThreadGuard tsan_serial(1);
+#endif
   Matrix<double> a = make_graph(true, 10);
   Matrix<double> at = grb::transposed(a);
   at.finalize();
   const Index n = a.nrows();
   Vector<double> f = make_frontier(n, 16);
   f.finalize();
+  // Shared full inputs for the in-place paths: each worker writes only its
+  // own outputs, so a path that wrote into an input would race visibly.
+  Vector<double> full_u = make_frontier(n, 1);
+  full_u.to_bitmap();
+  full_u.finalize();
+  Vector<double> full_v = Vector<double>::full(n, 0.5);
+  full_v.finalize();
 
   constexpr int kWorkers = 4;
-#if defined(__SANITIZE_THREAD__)
-  // Set before the workers spawn: Config is plain data under the
-  // single-writer contract, so the override must not be written from
-  // inside the pool.
-  ThreadGuard tsan_serial(1);
-#endif
   std::vector<Vector<double>> results(kWorkers, Vector<double>(n));
+  std::vector<Vector<double>> in_place(kWorkers, Vector<double>(n));
   std::vector<std::thread> pool;
   for (int w = 0; w < kWorkers; ++w) {
     pool.emplace_back([&, w] {
@@ -532,6 +603,17 @@ TEST(ParallelStress, ConcurrentKernelsOnSharedGraph) {
         Vector<double> sum(n);
         grb::eWiseAdd(sum, no_mask, grb::NoAccum{}, grb::Plus{}, push, pull);
         results[w] = std::move(sum);
+
+        // The full-vector paths over the shared inputs, PageRank-style.
+        Vector<double> q(n);
+        grb::eWiseMult(q, no_mask, grb::NoAccum{}, grb::Div{}, full_u,
+                       full_v);
+        Vector<double> r = Vector<double>::full(n, 0.125);
+        grb::mxv(r, no_mask, grb::Plus{}, grb::PlusSecond<double>{}, at,
+                 full_u);
+        grb::eWiseAdd(q, no_mask, grb::NoAccum{}, grb::Minus{}, q, r);
+        grb::apply(q, no_mask, grb::NoAccum{}, grb::Abs{}, q);
+        in_place[w] = std::move(q);
       }
     });
   }
@@ -540,6 +622,7 @@ TEST(ParallelStress, ConcurrentKernelsOnSharedGraph) {
   // All workers computed the same function of the same inputs.
   for (int w = 1; w < kWorkers; ++w) {
     expect_identical(results[0], results[w], "stress worker result");
+    expect_identical(in_place[0], in_place[w], "stress in-place result");
   }
 }
 

@@ -128,3 +128,25 @@ TEST(Cc, NullOutputIsError) {
   EXPECT_EQ(lagraph::connected_components<double>(nullptr, t.lg, msg),
             LAGRAPH_NULL_POINTER);
 }
+
+TEST(Cc, FullVectorPathsGiveIdenticalLabels) {
+  // FastSV's min-accumulating mxv, its eWiseAdds and its termination
+  // eWiseMult/reduce all run on full vectors. Config::force_format = sparse
+  // keeps them off the full-vector paths; the labels must not change.
+  auto road = testutil::small_road(24, 5);
+  auto kron = testutil::random_kron(9, 8, 6);
+  auto urand = testutil::random_undirected(9, 2, 7);
+  for (auto *t : {&road, &kron, &urand}) {
+    grb::Vector<Index> want;
+    grb::Vector<Index> got;
+    char msg[LAGRAPH_MSG_LEN];
+    grb::config().force_format = grb::ForceFormat::sparse;
+    const int want_status = lagraph::connected_components(&want, t->lg, msg);
+    grb::config().force_format = grb::ForceFormat::none;
+    ASSERT_EQ(want_status, LAGRAPH_OK) << msg;
+    ASSERT_EQ(lagraph::connected_components(&got, t->lg, msg), LAGRAPH_OK)
+        << msg;
+    EXPECT_EQ(want, got) << t->name;
+    expect_same_partition(*t, got);
+  }
+}

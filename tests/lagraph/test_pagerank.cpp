@@ -2,6 +2,9 @@
 // behaviour of the two variants, convergence reporting.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "common/test_graphs.hpp"
 
 using grb::Index;
@@ -162,4 +165,53 @@ TEST(PageRank, IterationsKeepRankVectorsBitmap) {
   const auto switches = grb::stats().snapshot().format_switches - before;
   EXPECT_GT(iters, 10);
   EXPECT_LE(switches, 2u) << "over " << iters << " iterations";
+}
+
+TEST(PageRank, FullVectorPathsAreBitIdenticalToSparseReference) {
+  // The in-place full-vector paths (eWise, apply, the accumulating pull)
+  // change only speed. Config::force_format = sparse keeps every vector off
+  // them, so both runs must give the same ranks bit for bit and take the
+  // same number of iterations. The road grid has no dangling node, so every
+  // vector of the iteration is full; the Kronecker graph has isolated
+  // nodes, so d and w have holes.
+  auto road = testutil::small_road(24, 3);
+  auto kron = testutil::random_kron(9, 8, 4);
+  char msg[LAGRAPH_MSG_LEN];
+  for (auto *t : {&road, &kron}) {
+    ASSERT_GE(lagraph::property_at(t->lg, msg), 0) << msg;
+    ASSERT_GE(lagraph::property_row_degree(t->lg, msg), 0) << msg;
+    if (t == &road) {
+      ASSERT_EQ(t->lg.row_degree->nvals(), t->lg.nodes());
+    } else {
+      ASSERT_LT(t->lg.row_degree->nvals(), t->lg.nodes());
+    }
+    for (const bool graphalytics : {false, true}) {
+      auto run = [&](grb::Vector<double> *r, int *iters) {
+        return graphalytics
+                   ? lagraph::advanced::pagerank_graphalytics(
+                         r, iters, t->lg, 0.85, 1e-9, 200, msg)
+                   : lagraph::advanced::pagerank_gap(r, iters, t->lg, 0.85,
+                                                     1e-9, 200, msg);
+      };
+      grb::Vector<double> want;
+      grb::Vector<double> got;
+      int want_iters = 0;
+      int got_iters = 0;
+      grb::config().force_format = grb::ForceFormat::sparse;
+      const int want_status = run(&want, &want_iters);
+      grb::config().force_format = grb::ForceFormat::none;
+      const int got_status = run(&got, &got_iters);
+      const std::string what =
+          t->name + (graphalytics ? " graphalytics" : " gap");
+      ASSERT_EQ(want_status, got_status) << what;
+      EXPECT_EQ(want_iters, got_iters) << what;
+      ASSERT_EQ(want.nvals(), got.nvals()) << what;
+      for (Index i = 0; i < want.size(); ++i) {
+        const double x = *want.get(i);
+        const double y = *got.get(i);
+        ASSERT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+            << what << " node " << i << ": " << y << " vs " << x;
+      }
+    }
+  }
 }
