@@ -1,5 +1,5 @@
-// bench_service_throughput — the lagraph::service headline number: adaptive
-// BFS batching vs one-query-at-a-time serving.
+// bench_service_throughput — the lagraph::service headline number: BFS
+// batching vs one-query-at-a-time serving.
 //
 // A burst of 64 BFS queries against a power-law (Kronecker) graph of at
 // least 2^16 nodes is pushed through two Engine configurations:

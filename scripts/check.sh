@@ -30,14 +30,16 @@
 #        QUERY_FUZZ_OPS fresh pattern-query scenarios (default 10000)
 #        bit-exactly against the tuple-at-a-time oracle across the full
 #        config sweep in both compilation modes,
-#   2b''. a TSan leg: tests_query_stress, tests_trace and tests_parallel
-#        rebuilt with -DLAGRAPH_SANITIZE=thread in a side build tree
-#        (BUILD_DIR-tsan) and run under the sanitizer — concurrent cypher
-#        traffic against a mutating ingest::Writer, span writers against a
-#        concurrent collect() over the per-thread rings, and
+#   2b''. a TSan leg: tests_query_stress, tests_trace, tests_parallel and
+#        tests_service rebuilt with -DLAGRAPH_SANITIZE=thread in a side
+#        build tree (BUILD_DIR-tsan) and run under the sanitizer —
+#        concurrent cypher traffic against a mutating ingest::Writer, span
+#        writers against a concurrent collect() over the per-thread rings,
 #        tests_parallel --gtest_filter='ParallelStress.*': kernel workers,
 #        the in-place full-vector paths among them, over shared finalized
-#        containers (SKIP_TSAN=1 skips),
+#        containers, and the whole engine suite: the worker loop's queue,
+#        BFS sweeps, counters and promises under snapshot swaps and
+#        shutdown (SKIP_TSAN=1 skips),
 #   2b'''. an ASan leg: tests_service and tests_telemetry rebuilt with
 #        -DLAGRAPH_SANITIZE=address in a side build tree (BUILD_DIR-asan)
 #        and run under the sanitizer — the engine's request path (queue,
@@ -164,21 +166,25 @@ step "query fuzz: corpus replay + $QUERY_FUZZ_OPS scenarios (seed $FUZZ_SEED)"
 if [[ "${SKIP_TSAN:-0}" == "1" ]]; then
   step "TSan: skipped (SKIP_TSAN=1)"
 else
-  step "TSan: tests_query_stress + tests_trace + ParallelStress under -DLAGRAPH_SANITIZE=thread"
-  # Rebuilds only these three targets (plus their library closure) in a
+  step "TSan: tests_query_stress + tests_trace + ParallelStress + tests_service under -DLAGRAPH_SANITIZE=thread"
+  # Rebuilds only these four targets (plus their library closure) in a
   # dedicated TSan tree and runs them under the sanitizer: the
   # concurrent-cypher-vs-mutating-writer suite is the race gate for the
   # Engine::cypher path and the snapshot handoff it rides on; tests_trace
   # races span writers against collect() and reset() over the per-thread
   # rings; ParallelStress.* runs the kernel mix, the in-place full-vector
-  # paths among it, from several threads over shared finalized inputs.
+  # paths among it, from several threads over shared finalized inputs;
+  # tests_service is the race gate for the engine's worker loop (it pins
+  # its kernels to one OpenMP thread under TSan).
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DLAGRAPH_SANITIZE=thread >/dev/null
   cmake --build "$TSAN_DIR" -j"$JOBS" \
-      --target tests_query_stress tests_trace tests_parallel >/dev/null
+      --target tests_query_stress tests_trace tests_parallel tests_service \
+      >/dev/null
   "$TSAN_DIR"/tests/query/tests_query_stress
   "$TSAN_DIR"/tests/grb/tests_trace
   "$TSAN_DIR"/tests/grb/tests_parallel --gtest_filter='ParallelStress.*'
+  "$TSAN_DIR"/tests/service/tests_service
 fi
 
 step "ASan request path: tests_service + tests_telemetry under -DLAGRAPH_SANITIZE=address"

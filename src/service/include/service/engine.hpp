@@ -7,16 +7,14 @@
 // atomically under live traffic, and in-flight queries finish against the
 // version they started with (snapshot isolation).
 //
-// The headline optimization is adaptive BFS batching: BFS requests that are
-// queued together against the same snapshot are merged into one
-// experimental msbfs sweep (the ns×n frontier trick the paper uses for BC,
-// executed by the word-parallel MS-BFS kernel) and demuxed back into
-// individual responses — k queued traversals for roughly the price of one
-// sweep. A worker that pops a lone BFS may additionally linger for a short
-// coalescing window (EngineConfig::batch_window) to let concurrent
-// submitters catch up; the wait is adaptive — an EWMA of recent batch sizes
-// decides whether lingering has been paying off, so a solo-query workload
-// degrades to zero added latency.
+// The headline optimization is BFS batching: a worker that pops a BFS takes
+// along the BFS requests already queued against the same snapshot (up to
+// EngineConfig::max_batch) and runs them as one experimental msbfs sweep
+// (the ns×n frontier trick the paper uses for BC, executed by the
+// word-parallel MS-BFS kernel), demuxed back into individual responses — k
+// queued traversals for roughly the price of one sweep. Nothing waits for
+// companions: a lone BFS runs at once as a sweep of one, the path every BFS
+// takes when batching is off.
 #pragma once
 
 #include <atomic>
@@ -89,11 +87,8 @@ struct QueryResult {
 
 struct EngineConfig {
   int threads = 2;  ///< worker pool size (clamped to >= 1)
-  /// How long a worker holding a lone BFS lingers for companions. 0
-  /// disables lingering (only already-queued requests are merged).
-  std::chrono::microseconds batch_window{200};
   std::uint32_t max_batch = 64;  ///< max sources per msbfs sweep
-  bool enable_batching = true;   ///< false = strictly one query at a time
+  bool enable_batching = true;   ///< false = every BFS sweeps alone
   std::size_t max_queue = 0;     ///< queued-request cap; 0 = unbounded
   /// Slow-query threshold in milliseconds: a request whose total wall time
   /// (submit → completion) exceeds it — or that misses its deadline — emits
@@ -220,7 +215,7 @@ class Engine {
   // ones are failed in place). Caller holds mu_.
   void scoop_bfs_locked(std::vector<Pending> &batch);
   void run_bfs_sweep(std::vector<Pending> batch);
-  void run_solo(Pending p);
+  void run_solo(Pending p);  // every kind but BFS
   void fail_locked(Pending &&p, int status, const char *what);
   // Feed the per-kind latency histograms; lock-free (relaxed counters).
   void observe(QueryKind k, double queue_s, double exec_s) noexcept;
@@ -243,7 +238,6 @@ class Engine {
   std::deque<Pending> queue_;
   SnapshotPtr snap_;
   EngineCounters counters_;
-  double ewma_batch_;  // recent sweep width; decides whether lingering pays
   int in_flight_ = 0;
   int busy_workers_ = 0;  // workers currently off the queue, executing
   bool stopping_ = false;

@@ -1,8 +1,8 @@
-// service/engine.cpp — worker pool, request queue, adaptive BFS batching.
+// service/engine.cpp — worker pool, request queue, BFS batching.
 //
-// Locking discipline: mu_ guards the queue, the current snapshot pointer,
-// the counters, and the batching EWMA. Workers hold it only while popping /
-// scooping / bookkeeping — never while a query kernel runs. Promises are
+// Locking discipline: mu_ guards the queue, the current snapshot pointer
+// and the counters. Workers hold it only while popping / scooping /
+// bookkeeping — never while a query kernel runs. Promises are
 // fulfilled outside the lock except for submit-time rejections and
 // requests that expire in the queue: fail_locked() rolls those up under
 // mu_, taking the request log's leaf mutex and, on a deadline miss,
@@ -36,10 +36,6 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-// Once the average sweep width drops below this, lingering for companions
-// has stopped paying for itself and workers run BFS immediately.
-constexpr double kLingerThreshold = 1.5;
-
 // Slow-query records carry the top spans ranked by self-time.
 constexpr std::size_t kSlowLogTopSpans = 5;
 
@@ -66,9 +62,6 @@ Engine::Engine(SnapshotPtr snapshot, EngineConfig cfg)
   cfg_.threads = std::max(1, cfg_.threads);
   cfg_.max_batch = std::max<std::uint32_t>(1, cfg_.max_batch);
   slow_log_.open(cfg_.slow_query_log);
-  // Optimistic start: assume lingering pays until the workload proves
-  // otherwise, so bursts issued right after startup coalesce.
-  ewma_batch_ = static_cast<double>(cfg_.max_batch);
   workers_.reserve(static_cast<std::size_t>(cfg_.threads));
   for (int i = 0; i < cfg_.threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -399,28 +392,13 @@ void Engine::worker_loop() {
       continue;
     }
 
-    if (p.req.kind == QueryKind::bfs && cfg_.enable_batching) {
+    if (p.req.kind == QueryKind::bfs) {
+      // Every BFS runs as a sweep, at once: with batching on it takes along
+      // the BFS requests already queued against its snapshot, and never
+      // waits for more.
       std::vector<Pending> batch;
       batch.push_back(std::move(p));
-      scoop_bfs_locked(batch);
-      // Adaptive linger: hold the batch open for one coalescing window so
-      // concurrent submitters can join — but only while the EWMA says
-      // batches have actually been forming; on a solo-query workload this
-      // gate closes and BFS latency is unaffected.
-      if (batch.size() < cfg_.max_batch &&
-          cfg_.batch_window.count() > 0 &&
-          ewma_batch_ >= kLingerThreshold && !stopping_) {
-        const auto until = Clock::now() + cfg_.batch_window;
-        while (batch.size() < cfg_.max_batch && !stopping_) {
-          if (cv_.wait_until(lk, until) == std::cv_status::timeout) {
-            scoop_bfs_locked(batch);
-            break;
-          }
-          scoop_bfs_locked(batch);
-        }
-      }
-      const auto width = static_cast<double>(batch.size());
-      ewma_batch_ = 0.75 * ewma_batch_ + 0.25 * width;
+      if (cfg_.enable_batching) scoop_bfs_locked(batch);
       ++counters_.bfs_sweeps;
       if (batch.size() >= 2) {
         counters_.batched_bfs += batch.size();
@@ -524,16 +502,6 @@ void Engine::run_solo(Pending p) {
   const Graph<double> &g = p.snap->graph();
 
   switch (p.req.kind) {
-    case QueryKind::bfs: {
-      // Same kernel as the batched path, sweep width 1 — one code path to
-      // trust, and the word-parallel core at width 1 is an ordinary
-      // direction-optimized BFS.
-      std::vector<grb::Vector<std::int64_t>> levels;
-      const grb::Index src[1] = {p.req.source};
-      r.status = experimental::msbfs_levels_demux(&levels, g, src, msg);
-      if (r.status >= 0) r.level = std::move(levels[0]);
-      break;
-    }
     case QueryKind::sssp:
       r.status = advanced::sssp_delta_stepping(&r.dist, g, p.req.source,
                                                p.req.delta, msg);
@@ -561,6 +529,8 @@ void Engine::run_solo(Pending p) {
       }
       break;
     }
+    default:  // worker_loop runs every BFS through run_bfs_sweep
+      break;
   }
 
   const auto end = Clock::now();

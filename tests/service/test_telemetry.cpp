@@ -132,7 +132,7 @@ TEST(RequestTracing, KernelSpansCarryRequestIds) {
   auto snap = make_kron_snapshot(6, 11);
   EngineConfig cfg;
   cfg.threads = 1;
-  cfg.enable_batching = false;  // solo path: trace_id == request_id
+  cfg.enable_batching = false;  // a sweep of one: trace_id == request_id
   Engine engine(snap, cfg);
 
   auto res = engine.submit(bfs_req(1)).get();
@@ -209,20 +209,30 @@ TEST(RequestTracing, RecordsOnlyThePlanThatRan) {
 TEST(RequestTracing, BatchMembersShareTheSweepTraceId) {
   TraceGuard guard(1);
   auto snap = make_kron_snapshot(6, 12);
+  auto big = make_kron_snapshot(12, 13);
   EngineConfig cfg;
   cfg.threads = 1;
   cfg.enable_batching = true;
-  cfg.batch_window = std::chrono::microseconds(20000);
-  Engine engine(snap, cfg);
+  Engine engine(big, cfg);
 
+  // Queue the BFS requests behind a head request that keeps the single
+  // worker busy for milliseconds: a PageRank that never converges (tol 0)
+  // on the larger graph. Each request binds to the snapshot installed when
+  // it is submitted, so the BFS requests all share `snap`.
+  Request head;
+  head.kind = QueryKind::pagerank;
+  head.tol = 0;
+  auto f_head = engine.submit(head);
+  engine.install_snapshot(snap);
   std::vector<std::future<QueryResult>> futs;
   for (Index s = 0; s < 8; ++s) futs.push_back(engine.submit(bfs_req(s)));
   std::vector<QueryResult> results;
   for (auto &f : futs) results.push_back(f.get());
+  EXPECT_GE(f_head.get().status, LAGRAPH_OK);
   engine.stop();
 
   for (const auto &r : results) ASSERT_EQ(r.status, LAGRAPH_OK) << r.error;
-  // At least one sweep of >= 2 must have formed under the widened window.
+  // At least one sweep of >= 2 must have formed behind the head request.
   bool any_batched = false;
   for (const auto &r : results) any_batched = any_batched || r.batched;
   ASSERT_TRUE(any_batched);

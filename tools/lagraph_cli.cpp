@@ -52,7 +52,6 @@
 //                        mutate streams --mutations random edits.
 //   --mutations N        mutate: synthetic mutation count (default 1024)
 //   --threads N          serve: worker pool size (default 2)
-//   --window-us U        serve: BFS coalescing window in µs (default 200)
 //   --max-batch B        serve: max sources per msbfs sweep (default 64)
 //   --no-batch           serve: disable batching (still multi-threaded)
 //   --prometheus FILE    serve/replay: write the engine's Prometheus text
@@ -126,7 +125,6 @@ struct Options {
   int top = 10;
   std::string script;
   int threads = 2;
-  long window_us = 200;
   std::uint32_t max_batch = 64;
   bool no_batch = false;
   std::string query_text;  // explain query: the pattern source
@@ -161,8 +159,8 @@ int usage() {
       "  --undirected --source N --delta X --k N --top N\n"
       "  --json (stats) --burble\n"
       "  trace: --trace-out FILE --sample N\n"
-      "  serve/replay: --script FILE --threads N --window-us U "
-      "--max-batch B --no-batch --prometheus FILE\n"
+      "  serve/replay: --script FILE --threads N --max-batch B --no-batch "
+      "--prometheus FILE\n"
       "  serve: --telemetry-port P (0 = ephemeral) --serve-seconds S\n"
       "         --slow-query-ms X --slow-query-log FILE\n"
       "  top: --host H --port P --interval-ms M --count N  (poll a running "
@@ -233,8 +231,6 @@ bool parse_args(int argc, char **argv, Options &opt) {
       opt.script = argv[++i];
     } else if (a == "--threads" && need(1)) {
       opt.threads = std::atoi(argv[++i]);
-    } else if (a == "--window-us" && need(1)) {
-      opt.window_us = std::atol(argv[++i]);
     } else if (a == "--max-batch" && need(1)) {
       opt.max_batch = static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (a == "--no-batch") {
@@ -918,7 +914,6 @@ int main(int argc, char **argv) {
 
     svc::EngineConfig cfg;
     cfg.threads = opt.threads;
-    cfg.batch_window = std::chrono::microseconds(opt.window_us);
     cfg.max_batch = opt.max_batch;
     cfg.enable_batching = !opt.no_batch;
     cfg.telemetry_port = opt.telemetry_port;
@@ -977,11 +972,11 @@ int main(int argc, char **argv) {
       }
     }
     std::printf("%s: %zu queries, %zu mutations on snapshot %llu, "
-                "%d worker(s), batching %s (window %ldus, max batch %u)\n",
+                "%d worker(s), batching %s (max batch %u)\n",
                 opt.algorithm.c_str(), n_queries, n_muts,
                 static_cast<unsigned long long>(engine.snapshot()->id()),
                 cfg.threads, cfg.enable_batching ? "on" : "off",
-                static_cast<long>(cfg.batch_window.count()), cfg.max_batch);
+                cfg.max_batch);
 
     lagraph::Timer qt;
     lagraph::tic(qt);
